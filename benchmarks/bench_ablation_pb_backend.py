@@ -12,7 +12,9 @@ A second bench times the DP under each *kernel* backend —
 ``pb_pmf_batch`` routed through the pure-python loop, the vectorised
 NumPy state-matrix convolution, and numba when available — over an
 engine-shaped batch of profiles, asserting bit-identical pmf values
-before timing.  Results merge into ``BENCH_engine.json`` under
+before timing.  Its tails leg times what the engine actually calls,
+``rejection_pvalue_batch`` on the same batch, asserting bit-identical
+p-values.  Results merge into ``BENCH_engine.json`` under
 ``"pb_backends"``.
 """
 
@@ -24,6 +26,7 @@ import pytest
 
 from benchmarks.bench_engine_batch import DEFAULT_OUT, _merge_into
 from benchmarks.conftest import print_header
+from repro.core.hypothesis import rejection_pvalue_batch
 from repro.kernels import numba_available
 from repro.stats.poisson_binomial import PoissonBinomial, pb_pmf_batch
 
@@ -71,6 +74,21 @@ def test_pb_backend_ablation(benchmark, n):
         assert rows[1][2] < 1e-6
 
 
+def _best_of(fn, repeats: int) -> float:
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _with_speedups(results: dict) -> dict:
+    for row in results.values():
+        row["speedup_vs_python"] = results["python"]["batch_s"] / row["batch_s"]
+    return results
+
+
 def run_pb_kernel_benchmark(
     n_profiles: int = 200,
     seed: int = 11,
@@ -82,7 +100,9 @@ def run_pb_kernel_benchmark(
     One batch of ``n_profiles`` probability vectors with FTL-like
     lengths (most short, a heavy tail of long profiles), matching what
     one ``link_batch`` query submits.  Every backend's pmfs must be
-    bit-identical to the python loop before timings are reported.
+    bit-identical to the python loop before timings are reported.  The
+    ``tails`` leg does the same for ``rejection_pvalue_batch`` with an
+    observed count per profile, the call the engine makes.
     """
     rng = np.random.default_rng(seed)
     lengths = np.clip(rng.geometric(0.08, size=n_profiles), 1, 400)
@@ -97,16 +117,27 @@ def run_pb_kernel_benchmark(
             assert np.array_equal(have, want), (
                 f"pb_pmf_batch kernel={kernel} diverged from the python loop"
             )
-        best = math.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            pb_pmf_batch(probs, kernel=kernel)
-            best = min(best, time.perf_counter() - start)
-        results[kernel] = {"batch_s": best}
+        results[kernel] = {
+            "batch_s": _best_of(
+                lambda: pb_pmf_batch(probs, kernel=kernel), repeats
+            )
+        }
+
+    ks = [int(rng.integers(0, n + 1)) for n in lengths]
+    reference_tails = rejection_pvalue_batch(probs, ks, "dp", kernel="python")
+    tails: dict = {}
     for kernel in kernels:
-        results[kernel]["speedup_vs_python"] = (
-            results["python"]["batch_s"] / results[kernel]["batch_s"]
+        have = rejection_pvalue_batch(probs, ks, "dp", kernel=kernel)
+        assert have == reference_tails, (
+            f"rejection_pvalue_batch kernel={kernel} diverged from the "
+            f"python loop"
         )
+        tails[kernel] = {
+            "batch_s": _best_of(
+                lambda: rejection_pvalue_batch(probs, ks, "dp", kernel=kernel),
+                repeats,
+            )
+        }
 
     section = {
         "n_profiles": n_profiles,
@@ -115,7 +146,8 @@ def run_pb_kernel_benchmark(
         "seed": seed,
         "repeats": repeats,
         "numba_available": numba_available(),
-        "kernels": results,
+        "kernels": _with_speedups(results),
+        "tails": _with_speedups(tails),
     }
     if out_path is not None:
         _merge_into(out_path, {"pb_backends": section})
@@ -131,13 +163,16 @@ def test_pb_kernel_backends(benchmark):
         f"PB kernel backends, {section['n_profiles']} profiles "
         f"(mean n={section['mean_length']:.0f}, max n={section['max_length']})"
     )
-    print(f"{'kernel':<10} {'batch (ms)':>11} {'speedup':>9}")
-    for kernel, row in section["kernels"].items():
-        print(
-            f"{kernel:<10} {row['batch_s'] * 1e3:>11.2f} "
-            f"{row['speedup_vs_python']:>8.2f}x"
-        )
+    print(f"{'call':<6} {'kernel':<10} {'batch (ms)':>11} {'speedup':>9}")
+    for call in ("kernels", "tails"):
+        for kernel, row in section[call].items():
+            print(
+                f"{'pmfs' if call == 'kernels' else call:<6} {kernel:<10} "
+                f"{row['batch_s'] * 1e3:>11.2f} "
+                f"{row['speedup_vs_python']:>8.2f}x"
+            )
     assert section["kernels"]["numpy"]["speedup_vs_python"] >= 1.0
+    assert section["tails"]["numpy"]["speedup_vs_python"] >= 1.0
 
 
 if __name__ == "__main__":

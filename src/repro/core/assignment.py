@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import networkx as nx
-
 from repro.core.database import TrajectoryDatabase
 from repro.core.models import CompatibilityModel, require_fitted_pair
 from repro.core.ranking import rank_candidates
@@ -95,6 +93,10 @@ def optimal_assignment(scores: ScoreTriples, min_score: float = 0.0) -> Assignme
     given input always builds the same graph and yields the same
     matching (networkx iterates in insertion order).
     """
+    # Imported here: networkx is needed only by this solver, and
+    # ``import repro`` must work with just the declared dependencies.
+    import networkx as nx
+
     usable = _validated(scores, min_score)
     order = sorted(range(len(usable)), key=lambda i: (-usable[i][2], i))
     usable = [usable[i] for i in order]

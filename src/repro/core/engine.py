@@ -39,10 +39,11 @@ CLI)::
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -314,7 +315,7 @@ class ProfileCache:
         candidates: Sequence[Trajectory],
         config: FTLConfig,
         backend: str | None = None,
-        flat: FlatPool | None = None,
+        flat: FlatPool | Callable[[], FlatPool] | None = None,
     ) -> list[MutualSegmentProfile]:
         """Profiles of one query against many candidates, batching misses.
 
@@ -322,10 +323,12 @@ class ProfileCache:
         (a repeated pair id within one pool is one miss plus hits), but
         all missing pairs are aligned in a single
         :func:`~repro.core.alignment.batch_mutual_segment_profiles`
-        kernel invocation instead of per-pair calls.  A prebuilt
-        ``flat`` :class:`~repro.core.alignment.FlatPool` of the full
-        candidate list is used when every pair misses (the cold-cache
-        batch case); partial misses re-flatten just the missing subset.
+        kernel invocation instead of per-pair calls.  A
+        :class:`~repro.core.alignment.FlatPool` of the full candidate
+        list — prebuilt, or a zero-argument callable that builds it,
+        called only then — is used when every pair misses (the
+        cold-cache batch case); partial misses re-flatten just the
+        missing subset.
         """
         results: list[MutualSegmentProfile | None] = [None] * len(candidates)
         pending: OrderedDict[tuple, list[int]] = OrderedDict()
@@ -345,12 +348,15 @@ class ProfileCache:
                 pending[key] = [pos]
                 pending_cands.append(candidate)
         if pending_cands:
+            full_miss = len(pending_cands) == len(candidates)
+            if full_miss and callable(flat):
+                flat = flat()
             profiles = batch_mutual_segment_profiles(
                 query,
                 pending_cands,
                 config,
                 backend=backend,
-                flat=flat if len(pending_cands) == len(candidates) else None,
+                flat=flat if full_miss else None,
             )
             for (key, positions), profile in zip(pending.items(), profiles):
                 self._entries[key] = profile
@@ -634,7 +640,7 @@ class LinkEngine:
                 f"options must be a LinkOptions, got {type(call_opts).__name__}"
             )
         pool = None
-        pool_flat: FlatPool | None = None
+        pool_flat: Callable[[], FlatPool] | None = None
         results = []
         for request in requests:
             if not isinstance(request, LinkRequest):
@@ -676,18 +682,26 @@ class LinkEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _flatten(self, pool: Sequence[Trajectory]) -> FlatPool | None:
-        """Flatten a pool once per batch (skipped on the per-pair backend)."""
+    def _flatten(
+        self, pool: Sequence[Trajectory]
+    ) -> Callable[[], FlatPool] | None:
+        """The pool's :class:`FlatPool`, built at most once per batch.
+
+        Flattening costs a pass over every candidate, and only a query
+        that misses the profile cache on every pair uses the result, so
+        it is built on the first such query (never, for a fully cached
+        batch).  ``None`` on the per-pair backend, which never uses it.
+        """
         if self._kernel == "python" or not pool:
             return None
-        return FlatPool(pool)
+        return functools.cache(functools.partial(FlatPool, pool))
 
     def _link_one(
         self,
         query: Trajectory,
         pool: Sequence[Trajectory],
         opts: LinkOptions,
-        flat: FlatPool | None = None,
+        flat: Callable[[], FlatPool] | None = None,
     ) -> LinkResult:
         config = self.config
         with span("profile"):
@@ -708,27 +722,36 @@ class LinkEngine:
 
         with span("rank"):
             scores = p1_m * (1.0 - p2_m)
-            scored = [
+            # A stable argsort of -score is the permutation of a stable
+            # ``sort(key=-score)`` (ties keep pool order); only the kept
+            # prefix is turned into Candidates.
+            order = np.argsort(-scores, kind="stable")[: opts.top_k]
+            picked = np.asarray(matched_idx, dtype=np.int64)[order]
+            ranked = tuple(
                 Candidate(
                     candidate_id=pool[i].traj_id,
-                    score=float(scores[j]),
-                    p_rejection=float(p1_m[j]),
-                    p_acceptance=float(p2_m[j]),
-                    n_mutual=int(ev.n_mutual[i]),
-                    n_incompatible=int(ev.n_incompatible[i]),
+                    score=score,
+                    p_rejection=p1,
+                    p_acceptance=p2,
+                    n_mutual=n_mutual,
+                    n_incompatible=n_incompatible,
                 )
-                for j, i in enumerate(matched_idx)
-            ]
-            scored.sort(key=lambda c: -c.score)
-            if opts.top_k is not None:
-                scored = scored[: opts.top_k]
+                for i, score, p1, p2, n_mutual, n_incompatible in zip(
+                    picked.tolist(),
+                    scores[order].tolist(),
+                    p1_m[order].tolist(),
+                    p2_m[order].tolist(),
+                    ev.n_mutual[picked].tolist(),
+                    ev.n_incompatible[picked].tolist(),
+                )
+            )
             return LinkResult(
-                query_id=query.traj_id, method=opts.method, candidates=tuple(scored)
+                query_id=query.traj_id, method=opts.method, candidates=ranked
             )
 
     def _alpha_filter(
         self, ev: _PoolEvidence, opts: LinkOptions
-    ) -> tuple[list[int], np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Both test phases over the pool; returns the matched evidence.
 
         Phase ordering matches the seed: ``p2`` is only computed for
@@ -736,18 +759,12 @@ class LinkEngine:
         """
         ps_r = self._table_r[ev.buckets]
         ps_a = self._table_a[ev.buckets]
-        p1 = np.asarray(self._tails("r", ev, ps_r, range(ev.n)))
-        survivors = np.nonzero(p1 >= opts.alpha1)[0]
-        p2_s = self._tails("a", ev, ps_a, survivors)
-        matched: list[int] = []
-        p1_m: list[float] = []
-        p2_m: list[float] = []
-        for i, p2 in zip(survivors, p2_s):
-            if p2 < opts.alpha2:
-                matched.append(int(i))
-                p1_m.append(p1[i])
-                p2_m.append(p2)
-        return matched, np.asarray(p1_m), np.asarray(p2_m)
+        p1 = np.asarray(self._tails("r", ev, ps_r, range(ev.n)), dtype=float)
+        survivors = np.flatnonzero(p1 >= opts.alpha1)
+        p2_s = np.asarray(self._tails("a", ev, ps_a, survivors), dtype=float)
+        accepted = p2_s < opts.alpha2
+        matched = survivors[accepted]
+        return matched, p1[matched], p2_s[accepted]
 
     def _naive_bayes(
         self, ev: _PoolEvidence, opts: LinkOptions
@@ -804,16 +821,24 @@ class LinkEngine:
         missing_pos: list[int] = []
         missing_ps: list[np.ndarray] = []
         missing_k: list[int] = []
+        # Key bytes are sliced from one serialisation of the pool's
+        # buckets: equal to ``ev.slice(ev.buckets, i).tobytes()``.
+        raw = ev.buckets.tobytes()
+        width = ev.buckets.itemsize
+        offsets = ev.offsets.tolist()
+        n_incompatible = ev.n_incompatible.tolist()
+        memo = self._tail_memo
         for pos, i in enumerate(indices):
-            k = int(ev.n_incompatible[i])
-            key = (kind, ev.slice(ev.buckets, i).tobytes(), k)
+            lo, hi = offsets[i], offsets[i + 1]
+            k = n_incompatible[i]
+            key = (kind, raw[lo * width : hi * width], k)
             keys.append(key)
-            hit = self._tail_memo.get(key)
+            hit = memo.get(key)
             if hit is not None:
                 values[pos] = hit
             else:
                 missing_pos.append(pos)
-                missing_ps.append(ev.slice(ps, i))
+                missing_ps.append(ps[lo:hi])
                 missing_k.append(k)
         if missing_pos:
             batch_fn = (

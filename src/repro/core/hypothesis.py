@@ -31,7 +31,12 @@ import numpy as np
 from repro.core.alignment import MutualSegmentProfile
 from repro.core.models import CompatibilityModel
 from repro.errors import ValidationError
-from repro.stats.poisson_binomial import PoissonBinomial, pb_pmf_batch
+from repro.kernels import resolve_kernel_backend
+from repro.stats.poisson_binomial import (
+    PoissonBinomial,
+    pb_pmf_batch,
+    pb_pmf_matrix,
+)
 
 
 def _test_arrays(
@@ -68,6 +73,20 @@ def acceptance_pvalue_arrays(ps: np.ndarray, k_obs: int, backend: str) -> float:
     return PoissonBinomial(ps, backend=backend).cdf(k_obs)
 
 
+def _pmf_rows(
+    ps_list: list[np.ndarray], kernel: str | None
+) -> tuple[np.ndarray | list[np.ndarray], list[int], list[int]]:
+    """``(pmfs, rows, lengths)``: pair ``i``'s pmf is ``pmfs[rows[i]]``
+    (padded beyond ``lengths[i]`` on the numpy kernel) — the matrix of
+    :func:`pb_pmf_matrix` read in place, or the per-pair pmfs of the
+    other kernels."""
+    resolved = resolve_kernel_backend(kernel)
+    if resolved == "numpy":
+        return pb_pmf_matrix(ps_list)
+    pmfs = pb_pmf_batch(ps_list, backend="dp", kernel=resolved)
+    return pmfs, list(range(len(pmfs))), [pmf.size - 1 for pmf in pmfs]
+
+
 def rejection_pvalue_batch(
     ps_list: list[np.ndarray],
     k_obs: list[int],
@@ -77,28 +96,25 @@ def rejection_pvalue_batch(
     """``p1`` for many pairs at once; bit-identical to the scalar loop.
 
     With the exact ``"dp"`` backend all Poisson-Binomial pmfs are run
-    through one batched convolution (``pb_pmf_batch`` on the given
-    ``kernel``) and each tail is then read off with the same slice-sum
-    as ``PoissonBinomial.sf``; other backends fall back to the per-pair
-    path (their tails are not pmf-slice sums).
+    through one batched DP on the given ``kernel`` and each tail is the
+    same slice-sum as ``PoissonBinomial.sf``, read in place from the DP
+    state; other backends fall back to the per-pair path (their tails
+    are not pmf-slice sums).
     """
     if backend != "dp":
         return [
             rejection_pvalue_arrays(ps, k, backend)
             for ps, k in zip(ps_list, k_obs)
         ]
-    pmfs = pb_pmf_batch(ps_list, backend="dp", kernel=kernel)
+    pmfs, rows, lengths = _pmf_rows(ps_list, kernel)
     out = []
-    for ps, pmf, k in zip(ps_list, pmfs, k_obs):
-        n = ps.size
-        if n == 0:
-            out.append(1.0)
-        elif k <= 0:
+    for row, n, k in zip(rows, lengths, k_obs):
+        if n == 0 or k <= 0:
             out.append(1.0)
         elif k > n:
             out.append(0.0)
         else:
-            out.append(float(min(pmf[k:].sum(), 1.0)))
+            out.append(float(min(pmfs[row][k : n + 1].sum(), 1.0)))
     return out
 
 
@@ -114,10 +130,9 @@ def acceptance_pvalue_batch(
             acceptance_pvalue_arrays(ps, k, backend)
             for ps, k in zip(ps_list, k_obs)
         ]
-    pmfs = pb_pmf_batch(ps_list, backend="dp", kernel=kernel)
+    pmfs, rows, lengths = _pmf_rows(ps_list, kernel)
     out = []
-    for ps, pmf, k in zip(ps_list, pmfs, k_obs):
-        n = ps.size
+    for row, n, k in zip(rows, lengths, k_obs):
         if n == 0:
             out.append(1.0)
         elif k < 0:
@@ -125,7 +140,7 @@ def acceptance_pvalue_batch(
         elif k >= n:
             out.append(1.0)
         else:
-            out.append(float(min(pmf[: k + 1].sum(), 1.0)))
+            out.append(float(min(pmfs[row][: k + 1].sum(), 1.0)))
     return out
 
 

@@ -3,12 +3,15 @@
 Batch evaluation of many Poisson-Binomial pmfs (one per candidate pair)
 by the exact O(n^2) convolution dynamic program.  Inputs arrive with
 degenerate trials already factored out (every ``0 < p < 1``), exactly
-as :func:`repro.stats.poisson_binomial.pb_pmf_batch` prepares them.
+as :func:`repro.stats.poisson_binomial.pb_pmf_batch` prepares them for
+the ``python`` and ``numba`` kernels.
 
 * ``python`` — one scalar DP per variable (the reference
   ``_pmf_dp`` loop).
-* ``numpy`` — the rectangular state-matrix DP
-  (``_pmf_dp_batch``), one NumPy dispatch per segment index.
+* ``numpy`` — the state-matrix DP
+  (:func:`~repro.stats.poisson_binomial.pb_pmf_matrix`), one NumPy
+  dispatch per segment index; it runs degenerate trials through the
+  recurrence, which is exact for them.
 * ``numba`` — an ``@njit`` loop running every row's scalar recurrence
   in compiled code; the per-element arithmetic is exactly
   ``new[k] = old[k] * (1 - p) + old[k - 1] * p`` in the same order, so

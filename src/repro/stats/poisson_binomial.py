@@ -53,43 +53,70 @@ def _pmf_dp(ps: np.ndarray) -> np.ndarray:
     return pmf
 
 
-def _pmf_dp_batch(ps_arrays: list[np.ndarray]) -> list[np.ndarray]:
-    """Many convolution DPs at once, bit-identical to per-array ``_pmf_dp``.
+def pb_pmf_matrix(
+    probs_list: Sequence[Sequence[float] | np.ndarray],
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """Every variable's exact pmf in one state matrix (the numpy DP core).
 
-    All rows advance through one rectangular ``(n_rows, max_len + 1)``
-    state matrix, so the per-step NumPy dispatch overhead is paid once
-    per segment index instead of once per (array, segment).  Rows are
-    sorted longest-first; at step ``j`` only the prefix of rows still
-    having a ``j``-th trial is touched, so no padded work is done.  The
-    per-element arithmetic is exactly the scalar recurrence —
-    ``new[k] = old[k] * (1 - p) + old[k - 1] * p`` with the same two
-    products and one addition — and the implicit zeros of the rectangle
-    reproduce the scalar code's boundary rows exactly, so every output
-    pmf is bit-identical to ``_pmf_dp`` on the same input.
+    Returns ``(dp, rows, lengths)``: the pmf of ``probs_list[i]`` is
+    ``dp[rows[i], : lengths[i] + 1]``, bit-identical to ``pb_pmf`` on
+    the same input.  Tails can be read straight out of ``dp`` without
+    copying a row.
+
+    * All probabilities are concatenated and validated by one vectorised
+      check (the same :class:`~repro.errors.ValidationError` as
+      ``pb_pmf``).
+    * Variables are sorted longest-first and scattered into one
+      ``(max_len, n_rows)`` trial matrix by a single fancy-index
+      assignment; step ``j`` updates only the prefix of variables that
+      still have a ``j``-th trial.
+    * Step ``j`` updates only support entries ``0 .. j + 1``: after
+      ``j`` trials every entry beyond ``j`` is still an exact zero, and
+      a step maps such a pair of zeros to ``0 * q + 0 * p = 0`` again.
+    * Degenerate trials are *not* factored out.  For finite,
+      non-negative state a ``p = 0`` step computes ``x * 1.0 + y * 0.0
+      == x`` and a ``p = 1`` step ``x * 0.0 + y * 1.0 == y``, both exact
+      in IEEE arithmetic, so the pmf equals the factored one bit for
+      bit (pinned by ``tests/test_poisson_binomial.py``).
+
+    Each state element follows exactly the scalar recurrence of
+    ``_pmf_dp`` — ``new[k] = old[k] * (1 - p) + old[k - 1] * p``, two
+    products and one addition — so no rounding differs from it.
     """
-    n_rows = len(ps_arrays)
-    if n_rows == 0:
-        return []
-    lengths = np.array([a.size for a in ps_arrays], dtype=np.int64)
-    order = np.argsort(-lengths, kind="stable")
-    sorted_lengths = lengths[order]
-    max_len = int(sorted_lengths[0])
-    dp = np.zeros((n_rows, max_len + 1))
-    dp[:, 0] = 1.0
-    p_mat = np.zeros((n_rows, max_len))
-    for row, idx in enumerate(order):
-        p_mat[row, : lengths[idx]] = ps_arrays[idx]
-    for j in range(max_len):
-        cnt = int(np.count_nonzero(sorted_lengths > j))
-        act = dp[:cnt]
-        pj = p_mat[:cnt, j][:, None]
-        nxt = act * (1.0 - pj)
-        nxt[:, 1:] += act[:, :-1] * pj
-        dp[:cnt] = nxt
-    out: list[np.ndarray] = [None] * n_rows  # type: ignore[list-item]
-    for row, idx in enumerate(order):
-        out[idx] = dp[row, : lengths[idx] + 1].copy()
-    return out
+    n_rows = len(probs_list)
+    lengths = [len(ps) for ps in probs_list]
+    counts = np.asarray(lengths, dtype=np.int64)
+    flat = (
+        _validate_probs(np.concatenate(probs_list, dtype=np.float64))
+        if n_rows
+        else np.empty(0)
+    )
+    order = np.argsort(-counts, kind="stable")
+    row_of = np.empty(n_rows, dtype=np.int64)
+    row_of[order] = np.arange(n_rows)
+    max_len = max(lengths, default=0)
+    starts = np.zeros(n_rows, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    p_t = np.zeros((max_len, n_rows))
+    p_t[
+        np.arange(flat.size) - np.repeat(starts, counts),
+        np.repeat(row_of, counts),
+    ] = flat
+    q_t = 1.0 - p_t
+    # Rows still active at step j: those longer than j (a sorted prefix).
+    active = np.searchsorted(
+        -counts[order], -np.arange(max_len), side="left"
+    ).tolist()
+    # The state is held transposed, support index by variable, so each
+    # update runs long contiguous inner loops over the variables.
+    state_t = np.zeros((max_len + 1, n_rows))
+    state_t[0] = 1.0
+    for j, cnt in enumerate(active):
+        state = state_t[: j + 2, :cnt]
+        carry = state[:-1] * p_t[j, :cnt]
+        state *= q_t[j, :cnt]
+        state[1:] += carry
+    return np.ascontiguousarray(state_t.T), row_of.tolist(), lengths
 
 
 def pb_pmf_batch(
@@ -99,23 +126,25 @@ def pb_pmf_batch(
 ) -> list[np.ndarray]:
     """Pmfs of many Poisson-Binomial variables in one pass.
 
-    Bit-identical to ``[pb_pmf(ps, backend) for ps in probs_list]`` but
-    the exact ``"dp"`` backend runs all convolution DPs through one
-    batched kernel.  Degenerate trials are factored per variable
-    exactly as ``PoissonBinomial`` does: zeros are dropped, ones shift
-    the support.  Non-``"dp"`` backends fall back to the per-variable
-    path.
+    Bit-identical to ``[pb_pmf(ps, backend) for ps in probs_list]``.
+    Non-``"dp"`` backends fall back to the per-variable path.
 
     ``kernel`` picks the DP implementation (see :mod:`repro.kernels`):
-    ``"numba"`` runs a compiled per-row scalar recurrence, ``"numpy"``
-    the vectorised state-matrix DP, ``"python"`` the per-variable
-    reference loop; ``None``/``"auto"`` resolve via
-    :func:`repro.kernels.resolve_kernel_backend`.  All three produce
-    bit-identical pmfs (same IEEE operations in the same order).
+    ``"numpy"`` returns rows of the one state matrix of
+    :func:`pb_pmf_matrix` (views sharing one buffer, no per-row copy);
+    ``"python"`` (the per-variable reference loop) and ``"numba"`` (a
+    compiled per-row scalar recurrence) validate each variable and
+    factor its degenerate trials exactly as ``PoissonBinomial`` does —
+    zeros are dropped, ones shift the support.  ``None``/``"auto"``
+    resolve via :func:`repro.kernels.resolve_kernel_backend`.  All
+    three produce bit-identical pmfs.
     """
     if backend != "dp":
         return [pb_pmf(ps, backend=backend) for ps in probs_list]
     resolved = resolve_kernel_backend(kernel)
+    if resolved == "numpy":
+        dp, rows, lengths = pb_pmf_matrix(probs_list)
+        return [dp[row, : n + 1] for row, n in zip(rows, lengths)]
     metas: list[tuple[int, int]] = []
     cores_in: list[np.ndarray] = []
     for probs in probs_list:
@@ -125,10 +154,8 @@ def pb_pmf_batch(
         cores_in.append(ps[(ps > 0.0) & (ps < 1.0)])
     if resolved == "numba":
         cores = pmf_dp_batch_numba(cores_in)
-    elif resolved == "python":
-        cores = [_pmf_dp(ps) for ps in cores_in]
     else:
-        cores = _pmf_dp_batch(cores_in)
+        cores = [_pmf_dp(ps) for ps in cores_in]
     out = []
     for (n_trials, shift), core in zip(metas, cores):
         pmf = np.zeros(n_trials + 1)

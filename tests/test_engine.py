@@ -214,6 +214,94 @@ class TestBatchEquivalence:
             )
 
 
+class TestLazyFlatPool:
+    """The pool is flattened only for a query that misses every pair."""
+
+    @pytest.fixture
+    def flat_pool_builds(self, monkeypatch):
+        import repro.core.engine as engine_mod
+
+        builds = []
+        real = engine_mod.FlatPool
+
+        def counting(pool):
+            builds.append(len(pool))
+            return real(pool)
+
+        monkeypatch.setattr(engine_mod, "FlatPool", counting)
+        return builds
+
+    def test_cached_batch_builds_no_flat_pool(
+        self, small_pair, fitted_models, query_set, flat_pool_builds
+    ):
+        from repro.core.engine import LinkRequest
+
+        engine = make_engine(
+            fitted_models, LinkOptions(kernel_backend="numpy")
+        )
+        pool = list(small_pair.q_db)
+        cold = engine.link_batch(query_set, pool)
+        assert flat_pool_builds == [len(pool)]  # once for the whole batch
+        warm = engine.link_batch(query_set, pool)
+        requests = [LinkRequest(query=q) for q in query_set]
+        served = engine.link_requests(requests, default_pool=pool)
+        assert flat_pool_builds == [len(pool)]
+        assert warm == cold
+        assert served == cold
+
+
+class TestRankOrder:
+    """Only the top_k prefix is built; its order is a stable sort."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        top_k=st.one_of(st.none(), st.integers(1, 25)),
+    )
+    def test_matches_sort_then_slice_with_ties(
+        self, fitted_models, small_pair, query_set, data, top_k
+    ):
+        pool = list(small_pair.q_db)[:20]
+        matched = np.asarray(
+            sorted(
+                data.draw(
+                    st.sets(st.integers(0, len(pool) - 1), max_size=len(pool))
+                )
+            ),
+            dtype=np.int64,
+        )
+        # A handful of values, so most scores tie with another.
+        value = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+        p1 = np.asarray(
+            data.draw(st.lists(value, min_size=matched.size,
+                               max_size=matched.size)), dtype=float,
+        )
+        p2 = np.asarray(
+            data.draw(st.lists(value, min_size=matched.size,
+                               max_size=matched.size)), dtype=float,
+        )
+        engine = make_engine(
+            fitted_models,
+            LinkOptions(method="alpha-filter", alpha1=0.0, alpha2=1.0,
+                        top_k=top_k),
+        )
+        engine._alpha_filter = lambda ev, opts: (matched, p1, p2)
+        got = engine.link(query_set[0], pool)
+
+        scores = p1 * (1.0 - p2)
+        want = [
+            (pool[i].traj_id, float(scores[j]), float(p1[j]), float(p2[j]))
+            for j, i in enumerate(matched.tolist())
+        ]
+        want.sort(key=lambda c: -c[1])
+        if top_k is not None:
+            want = want[:top_k]
+        assert [
+            (c.candidate_id, c.score, c.p_rejection, c.p_acceptance)
+            for c in got.candidates
+        ] == want
+
+
 class TestEngineOptions:
     def test_top_k_truncates(self, small_pair, fitted_models, query_set):
         exhaustive = LinkOptions(method="alpha-filter", alpha1=0.0, alpha2=1.0)

@@ -20,6 +20,7 @@ from repro.core.alignment import (
     mutual_segment_profile,
 )
 from repro.core.engine import LinkEngine, LinkOptions
+from repro.core.hypothesis import acceptance_pvalue_batch, rejection_pvalue_batch
 from repro.core.trajectory import Trajectory
 from repro.errors import ValidationError
 from repro.kernels import (
@@ -253,7 +254,55 @@ def probs_list_strategy():
     )
 
 
+@st.composite
+def tail_batch_strategy(draw):
+    """``(rows, ks)``: a tail batch with 20% exact 0.0 and 20% exact 1.0
+    trials, empty rows, rows longer than 8 and than 128 (numpy's
+    pairwise-summation unroll and block sizes, so tail sums cross both),
+    and observed counts ``k`` in ``[-1, n + 2]``."""
+    lengths = draw(
+        st.lists(
+            st.one_of(
+                st.integers(0, 40),
+                st.sampled_from([0, 7, 8, 9, 127, 128, 129, 130, 300]),
+            ),
+            max_size=12,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, ks = [], []
+    for n in lengths:
+        ps = rng.uniform(0.0, 1.0, size=n) ** rng.choice([0.05, 1.0, 4.0])
+        kind = rng.random(n)
+        ps[kind < 0.2] = 0.0
+        ps[kind > 0.8] = 1.0
+        rows.append(ps)
+        ks.append(int(rng.integers(-1, n + 3)))
+    return rows, ks
+
+
 class TestPoissonBinomialKernels:
+    @settings(max_examples=40, deadline=None)
+    @given(batch=tail_batch_strategy())
+    def test_numpy_tails_match_python(self, batch):
+        rows, ks = batch
+        for tails in (rejection_pvalue_batch, acceptance_pvalue_batch):
+            ref = tails(rows, ks, "dp", kernel="python")
+            got = tails(rows, ks, "dp", kernel="numpy")
+            assert got == ref
+            assert all(type(v) is float for v in got)
+
+    @settings(max_examples=20, deadline=None)
+    @given(batch=tail_batch_strategy())
+    def test_numpy_matches_python_long_rows(self, batch):
+        rows, _ = batch
+        ref = pb_pmf_batch(rows, kernel="python")
+        got = pb_pmf_batch(rows, kernel="numpy")
+        assert len(ref) == len(got)
+        for a, b in zip(ref, got):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
     @settings(max_examples=30, deadline=None)
     @given(probs_list=probs_list_strategy())
     def test_numpy_matches_python(self, probs_list):

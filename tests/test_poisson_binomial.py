@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from repro.core.hypothesis import acceptance_pvalue_batch, rejection_pvalue_batch
 from repro.errors import ValidationError
 from repro.stats.poisson_binomial import (
     PoissonBinomial,
     pb_cdf,
     pb_pmf,
     pb_pmf_batch,
+    pb_pmf_matrix,
     pb_sf,
 )
 
@@ -248,3 +250,55 @@ class TestBatchPmf:
     def test_rejects_bad_probs(self):
         with pytest.raises(ValidationError):
             pb_pmf_batch([[0.5], [1.5]])
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5, math.inf, -math.inf])
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    @pytest.mark.parametrize("kernel", ["numpy", "python"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rows, kernel: pb_pmf_batch(rows, kernel=kernel),
+            lambda rows, kernel: rejection_pvalue_batch(
+                rows, [1] * len(rows), "dp", kernel=kernel
+            ),
+            lambda rows, kernel: acceptance_pvalue_batch(
+                rows, [1] * len(rows), "dp", kernel=kernel
+            ),
+        ],
+        ids=["pmf", "rejection", "acceptance"],
+    )
+    def test_rejects_bad_probs_in_any_row(self, bad, row, kernel, call):
+        rows = [np.array([0.1, 0.2, 0.3]) for _ in range(5)]
+        rows[1] = np.array([])
+        rows[row] = np.array([0.5, bad, 0.25])
+        with pytest.raises(ValidationError):
+            call(rows, kernel)
+
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.just(0.0),
+                    st.just(1.0),
+                    # q = 1 - p of a few ulps: runs of these push the
+                    # state into subnormals before an exact 0/1 step.
+                    st.just(1.0 - 2.0**-52),
+                    st.floats(0.0, 1.0, allow_nan=False),
+                ),
+                max_size=40,
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_unfactored_dp_is_exact(self, ps_lists):
+        """The matrix DP runs p=0 and p=1 trials through the recurrence
+        instead of factoring them out; the pmf must still equal the
+        factored one bit for bit (x*1.0 + y*0.0 == x and
+        x*0.0 + y*1.0 == y hold exactly for finite non-negative x, y)."""
+        dp, rows, lengths = pb_pmf_matrix(ps_lists)
+        assert dp.shape[0] == len(ps_lists)
+        for ps, row, n in zip(ps_lists, rows, lengths):
+            assert n == len(ps)
+            assert np.array_equal(dp[row, : n + 1], pb_pmf(ps))
+            assert not dp[row, n + 1 :].any()
