@@ -3,7 +3,8 @@
 These use pytest-benchmark's statistical timing (many rounds) on the
 operations that dominate query latency: mutual-segment profile
 extraction, Poisson-Binomial tail evaluation, and single-pair decisions
-of both matchers.
+of both linking methods (a cold :class:`~repro.core.engine.LinkEngine`
+per call, so every call aligns and tests the pair).
 """
 
 import numpy as np
@@ -11,9 +12,8 @@ import pytest
 
 from repro.config import FTLConfig
 from repro.core.alignment import mutual_segment_profile
-from repro.core.filtering import AlphaFilter
+from repro.core.engine import LinkEngine, LinkOptions
 from repro.core.models import CompatibilityModel
-from repro.core.naive_bayes import NaiveBayesMatcher
 from repro.core.trajectory import Trajectory
 from repro.stats.poisson_binomial import PoissonBinomial
 
@@ -80,17 +80,17 @@ def test_pb_tail_normal_speed(benchmark):
 def test_alpha_filter_pair_decision_speed(benchmark, traj_pair, models):
     p, q = traj_pair
     mr, ma = models
-    matcher = AlphaFilter(mr, ma, 0.05, 0.05)
-    decision = benchmark(matcher.decide, p, q)
-    assert decision.n_mutual >= 0
+    options = LinkOptions(method="alpha-filter", alpha1=0.05, alpha2=0.05)
+    result = benchmark(lambda: LinkEngine(mr, ma, options).link(p, [q]))
+    assert len(result) <= 1
 
 
 def test_naive_bayes_pair_decision_speed(benchmark, traj_pair, models):
     p, q = traj_pair
     mr, ma = models
-    matcher = NaiveBayesMatcher(mr, ma, 0.05)
-    decision = benchmark(matcher.decide, p, q)
-    assert decision.n_mutual >= 0
+    options = LinkOptions(method="naive-bayes", phi_r=0.05)
+    result = benchmark(lambda: LinkEngine(mr, ma, options).link(p, [q]))
+    assert len(result) <= 1
 
 
 def test_streaming_insert_speed(benchmark, traj_pair, config):

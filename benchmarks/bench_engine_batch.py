@@ -1,13 +1,14 @@
-"""Engine bench: profile-once batch linking vs the seed per-candidate loop.
+"""Engine bench: profile-once batch linking vs the per-pair loop.
 
 The seed ``FTLLinker.link()`` computed every ``(query, candidate)``
-mutual-segment profile twice — once inside the decision rule's
-``decide()`` and again when re-scoring the matched set — and paid the
-Poisson-Binomial tails twice for every matched candidate.
-``_seed_link_loop`` below reproduces that exact per-candidate code path
-as the baseline; :class:`~repro.core.engine.LinkEngine` is the batch
-replacement.  Results are asserted bit-identical before any timing is
-reported.
+mutual-segment profile twice — once inside the decision rule and again
+when re-scoring the matched set — and paid the Poisson-Binomial tails
+twice for every matched candidate.  ``_seed_link_loop`` below is that
+per-candidate baseline, built on the per-pair reference scorer of
+``tests/oracle.py`` (one alignment and scalar tail evaluation per pair,
+then a second pass over the matched set);
+:class:`~repro.core.engine.LinkEngine` is the batch replacement.
+Results are asserted bit-identical before any timing is reported.
 
 Two workloads are timed:
 
@@ -39,16 +40,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import FTLConfig
-from repro.core.alignment import (
-    FlatPool,
-    batch_mutual_segment_profiles,
-    mutual_segment_profile,
-)
-from repro.core.engine import Candidate, LinkEngine, LinkOptions, LinkResult
-from repro.core.filtering import AlphaFilter
-from repro.core.hypothesis import acceptance_pvalue, rejection_pvalue
+from repro.core.alignment import FlatPool, batch_mutual_segment_profiles
+from repro.core.engine import LinkEngine, LinkOptions, LinkResult
 from repro.core.models import CompatibilityModel
-from repro.core.naive_bayes import NaiveBayesMatcher
 from repro.geo.units import days_to_seconds
 from repro.kernels import numba_available
 from repro.synth.city import CityModel
@@ -56,6 +50,7 @@ from repro.synth.noise import GaussianNoise
 from repro.synth.observation import ObservationService
 from repro.synth.population import generate_population
 from repro.synth.scenario import make_paired_databases
+from tests import oracle
 
 DEFAULT_OUT = "BENCH_engine.json"
 
@@ -78,32 +73,12 @@ def _merge_into(out_path: str | Path, updates: dict) -> None:
 
 
 def _seed_link_loop(query, pool, mr, ma, options: LinkOptions) -> LinkResult:
-    """The seed per-candidate path: decide per pair, then re-score matches."""
-    config = mr.config
-    if options.method == "alpha-filter":
-        matcher = AlphaFilter(mr, ma, options.alpha1, options.alpha2)
-        matched = [c for c in pool if matcher.decide(query, c).accepted]
-    else:
-        matcher = NaiveBayesMatcher(mr, ma, options.phi_r)
-        matched = [c for c in pool if matcher.decide(query, c).same_person]
-    scored = []
-    for candidate in matched:
-        profile = mutual_segment_profile(query, candidate, config)
-        within = profile.within_horizon(mr.n_buckets)
-        p1 = rejection_pvalue(profile, mr)
-        p2 = acceptance_pvalue(profile, ma)
-        scored.append(
-            Candidate(
-                candidate_id=candidate.traj_id,
-                score=p1 * (1.0 - p2),
-                p_rejection=p1,
-                p_acceptance=p2,
-                n_mutual=within.n_total,
-                n_incompatible=within.n_incompatible,
-            )
-        )
-    scored.sort(key=lambda c: -c.score)
-    return LinkResult(query.traj_id, options.method, tuple(scored))
+    """The per-candidate path: decide per pair, then re-score the matches."""
+    decided = oracle.link(query, pool, mr, ma, options)
+    matched = set(decided.candidate_ids())
+    return oracle.link(
+        query, [c for c in pool if c.traj_id in matched], mr, ma, options
+    )
 
 
 def _build_pair(n_candidates: int, rng: np.random.Generator):

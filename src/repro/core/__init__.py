@@ -24,6 +24,7 @@ from repro.core.engine import (
     LinkEngine,
     LinkOptions,
     ProfileCache,
+    QueryEvidence,
 )
 from repro.core.diagnostics import (
     bucket_divergence,
@@ -31,7 +32,6 @@ from repro.core.diagnostics import (
     format_model_table,
     model_table,
 )
-from repro.core.filtering import AlphaFilter, FilterDecision
 from repro.core.hypothesis import acceptance_pvalue, rejection_pvalue
 from repro.core.linker import Candidate, FTLLinker, LinkResult
 from repro.core.metrics import (
@@ -41,33 +41,28 @@ from repro.core.metrics import (
     selectiveness,
 )
 from repro.core.models import CompatibilityModel
-from repro.core.naive_bayes import NaiveBayesMatcher, NBDecision
 from repro.core.prefilter import (
     MutualSegmentCountPrefilter,
     NullPrefilter,
     TimeOverlapPrefilter,
 )
-from repro.core.ranking import rank_candidates, score_candidate
 from repro.core.records import Record
 from repro.core.trajectory import Trajectory
 
 __all__ = [
     "AlignedTrajectory",
-    "AlphaFilter",
     "Assignment",
     "CacheStats",
     "Candidate",
     "CompatibilityModel",
     "FTLLinker",
-    "FilterDecision",
     "LinkEngine",
     "LinkOptions",
     "LinkResult",
     "ProfileCache",
+    "QueryEvidence",
     "MutualSegmentCountPrefilter",
     "MutualSegmentProfile",
-    "NBDecision",
-    "NaiveBayesMatcher",
     "NullPrefilter",
     "Record",
     "Segment",
@@ -90,8 +85,6 @@ __all__ = [
     "optimal_assignment",
     "perceptiveness",
     "precision_at_k",
-    "rank_candidates",
     "rejection_pvalue",
-    "score_candidate",
     "selectiveness",
 ]

@@ -22,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.core.database import TrajectoryDatabase
-from repro.core.models import CompatibilityModel, require_fitted_pair
-from repro.core.ranking import rank_candidates
+from repro.core.engine import LinkEngine
+from repro.core.models import CompatibilityModel
 from repro.errors import ValidationError
 
 
@@ -128,14 +130,19 @@ def score_all_pairs(
     """Eq. 2 scores for every (query, candidate) combination.
 
     The raw material for either assignment solver.  ``query_ids``
-    restricts the query side (defaults to all of ``p_db``).
+    restricts the query side (defaults to all of ``p_db``).  Each
+    query's triples are ordered by non-increasing score, ties in
+    candidate order (a stable sort).
     """
-    mr, ma = require_fitted_pair(rejection_model, acceptance_model)
+    engine = LinkEngine(rejection_model, acceptance_model)
     ids = list(p_db.ids()) if query_ids is None else list(query_ids)
+    pool = list(q_db)
     triples: list[tuple[object, object, float]] = []
     for qid in ids:
-        for scored in rank_candidates(p_db[qid], q_db, mr, ma):
-            triples.append((qid, scored.candidate_id, scored.score))
+        evidence = engine.score_pool(p_db[qid], pool)
+        scores = evidence.scores()
+        for i in np.argsort(-scores, kind="stable").tolist():
+            triples.append((qid, evidence.candidate_ids[i], float(scores[i])))
     return triples
 
 

@@ -23,10 +23,18 @@ large-scale spatio-temporal linkage):
    on the in-horizon bucket content, so identical profiles (common for
    short overlaps) are tested once.
 
-Results are bit-identical to the sequential seed path: the flattening
-preserves each candidate's segment order, every per-candidate reduction
-(`sum`, Poisson-Binomial convolution) runs over exactly the same float64
-values in exactly the same order as the per-pair code did.
+Results are bit-identical to the per-pair reference (one alignment,
+``rejection_pvalue`` / ``acceptance_pvalue`` and a clipped
+log-likelihood per pair; ``tests/oracle.py``): the flattening preserves
+each candidate's segment order, and every per-candidate reduction
+(``sum``, Poisson-Binomial convolution) runs over exactly the same
+float64 values in exactly the same order as the per-pair code.
+
+:meth:`LinkEngine.score_pool` exposes the decision-free evidence
+(``p1``, ``p2`` and the log-likelihood ratio of every candidate, as a
+:class:`QueryEvidence`) for parameter sweeps and global assignment; the
+paper's two decision rules are ``LinkOptions(method=...)`` on
+:meth:`LinkEngine.link_batch`.
 
 :class:`LinkOptions` is the single source of the linking hyperparameter
 defaults (previously scattered over ``FTLLinker``, ``parallel`` and the
@@ -193,6 +201,44 @@ class LinkRequest:
 # ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
+def naive_bayes_accepts(llr, phi_r: float):
+    """The Naive-Bayes decision (Sec. IV-E) on a prior-free LLR.
+
+    Same person iff ``phi_r L(Mr) >= phi_a L(Ma)``, i.e. iff
+    ``llr = log L(Mr) - log L(Ma) >= log(phi_a) - log(phi_r)``.  Works
+    elementwise on arrays; every NB decision in the package uses it.
+    """
+    return llr >= math.log(1.0 - phi_r) - math.log(phi_r)
+
+
+@dataclass(frozen=True)
+class QueryEvidence:
+    """Per-candidate evidence for one query.
+
+    ``p1[i]`` / ``p2[i]`` / ``llr[i]`` refer to ``candidate_ids[i]``.
+    """
+
+    query_id: object
+    candidate_ids: tuple[object, ...]
+    p1: np.ndarray
+    p2: np.ndarray
+    llr: np.ndarray
+
+    def alpha_filter_mask(self, alpha1: float, alpha2: float) -> np.ndarray:
+        """Accepted-candidate mask under (alpha1, alpha2)-filtering."""
+        return (self.p1 >= alpha1) & (self.p2 < alpha2)
+
+    def naive_bayes_mask(self, phi_r: float) -> np.ndarray:
+        """Same-person mask under Naive-Bayes with prior ``phi_r``."""
+        if not 0.0 < phi_r < 1.0:
+            raise ValidationError(f"phi_r must be in (0, 1), got {phi_r}")
+        return naive_bayes_accepts(self.llr, phi_r)
+
+    def scores(self) -> np.ndarray:
+        """Eq. 2 ranking scores ``v = p1 * (1 - p2)`` per candidate."""
+        return self.p1 * (1.0 - self.p2)
+
+
 @dataclass(frozen=True)
 class Candidate:
     """One returned candidate with its ranking evidence."""
@@ -449,9 +495,6 @@ class _PoolEvidence:
         np.cumsum(self.incompatible, dtype=np.int64, out=inc_csum[1:])
         self.n_incompatible = inc_csum[self.offsets[1:]] - inc_csum[self.offsets[:-1]]
 
-    def slice(self, arr: np.ndarray, i: int) -> np.ndarray:
-        return arr[self.offsets[i]: self.offsets[i + 1]]
-
 
 # ----------------------------------------------------------------------
 # The engine
@@ -679,6 +722,32 @@ class LinkEngine:
             results.append(self._link_one(request.query, kept, opts, kept_flat))
         return results
 
+    def score_pool(
+        self, query: Trajectory, candidates: Iterable[Trajectory]
+    ) -> QueryEvidence:
+        """Decision-free evidence of one query against a whole pool.
+
+        Both p-values and the prior-free log-likelihood ratio of every
+        candidate, in pool order (no prefilter, no decision), from the
+        same profile cache, flat evidence and tail memo as
+        :meth:`link_batch`.  Parameter sweeps threshold the result
+        (:meth:`QueryEvidence.alpha_filter_mask`,
+        :meth:`QueryEvidence.naive_bayes_mask`) instead of re-linking.
+        """
+        pool = candidates if isinstance(candidates, list) else list(candidates)
+        ev = self._pool_evidence(query, pool, self._flatten(pool))
+        with span("pb_test"):
+            every = range(ev.n)
+            p1 = self._tails("r", ev, self._table_r[ev.buckets], every)
+            p2 = self._tails("a", ev, self._table_a[ev.buckets], every)
+        return QueryEvidence(
+            query_id=query.traj_id,
+            candidate_ids=tuple(c.traj_id for c in pool),
+            p1=np.asarray(p1, dtype=float),
+            p2=np.asarray(p2, dtype=float),
+            llr=self._llr(ev),
+        )
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -696,6 +765,23 @@ class LinkEngine:
             return None
         return functools.cache(functools.partial(FlatPool, pool))
 
+    def _pool_evidence(
+        self,
+        query: Trajectory,
+        pool: Sequence[Trajectory],
+        flat: Callable[[], FlatPool] | None,
+    ) -> _PoolEvidence:
+        with span("profile"):
+            profiles = self._cache.get_many(
+                query, pool, self.config, self._kernel, flat
+            )
+            ev = _PoolEvidence(profiles, self._mr.n_buckets)
+            # Feed the context-bound drift sink (no-op when none): the
+            # pool's in-horizon (bucket, incompatible) observations are
+            # exactly the live counterpart of the fitted count tables.
+            record_evidence(ev.buckets, ev.incompatible)
+        return ev
+
     def _link_one(
         self,
         query: Trajectory,
@@ -703,16 +789,7 @@ class LinkEngine:
         opts: LinkOptions,
         flat: Callable[[], FlatPool] | None = None,
     ) -> LinkResult:
-        config = self.config
-        with span("profile"):
-            profiles = self._cache.get_many(
-                query, pool, config, self._kernel, flat
-            )
-            ev = _PoolEvidence(profiles, self._mr.n_buckets)
-            # Feed the context-bound drift sink (no-op when none): the
-            # pool's in-horizon (bucket, incompatible) observations are
-            # exactly the live counterpart of the fitted count tables.
-            record_evidence(ev.buckets, ev.incompatible)
+        ev = self._pool_evidence(query, pool, flat)
 
         with span("pb_test"):
             if opts.method == "alpha-filter":
@@ -768,39 +845,36 @@ class LinkEngine:
 
     def _naive_bayes(
         self, ev: _PoolEvidence, opts: LinkOptions
-    ) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """NB posterior comparison over the pool from the flat evidence.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """NB decision over the pool; tails only for the matched."""
+        matched = np.flatnonzero(naive_bayes_accepts(self._llr(ev), opts.phi_r))
+        p1_m = self._tails("r", ev, self._table_r[ev.buckets], matched)
+        p2_m = self._tails("a", ev, self._table_a[ev.buckets], matched)
+        return matched, np.asarray(p1_m), np.asarray(p2_m)
+
+    def _llr(self, ev: _PoolEvidence) -> np.ndarray:
+        """Per-candidate ``log L(Mr) - log L(Ma)`` from the flat evidence.
 
         The per-segment log terms are gathered from the engine's
         pre-quantised per-bucket log tables (clipped and logged once at
         construction — elementwise identical to clipping/logging the
         gathered probabilities per pool); each candidate's
         log-likelihood then sums its own compressed slice in segment
-        order, reproducing the per-pair ``_log_likelihood`` bit for bit.
+        order, reproducing the clipped per-pair log-likelihood bit for
+        bit.
         """
-        ps_r = self._table_r[ev.buckets]
-        ps_a = self._table_a[ev.buckets]
         log_r, log1m_r = self._log_r[ev.buckets], self._log1m_r[ev.buckets]
         log_a, log1m_a = self._log_a[ev.buckets], self._log1m_a[ev.buckets]
-        log_phi_r = math.log(opts.phi_r)
-        log_phi_a = math.log(opts.phi_a)
-
-        matched: list[int] = []
+        offsets = ev.offsets.tolist()
+        llr = np.empty(ev.n)
         for i in range(ev.n):
-            inc = ev.slice(ev.incompatible, i)
+            lo, hi = offsets[i], offsets[i + 1]
+            inc = ev.incompatible[lo:hi]
             com = ~inc
-            ll_r = float(
-                ev.slice(log_r, i)[inc].sum() + ev.slice(log1m_r, i)[com].sum()
-            )
-            ll_a = float(
-                ev.slice(log_a, i)[inc].sum() + ev.slice(log1m_a, i)[com].sum()
-            )
-            ratio = (log_phi_r + ll_r) - (log_phi_a + ll_a)
-            if ratio >= 0.0:
-                matched.append(i)
-        p1_m = self._tails("r", ev, ps_r, matched)
-        p2_m = self._tails("a", ev, ps_a, matched)
-        return matched, np.asarray(p1_m), np.asarray(p2_m)
+            ll_r = float(log_r[lo:hi][inc].sum() + log1m_r[lo:hi][com].sum())
+            ll_a = float(log_a[lo:hi][inc].sum() + log1m_a[lo:hi][com].sum())
+            llr[i] = ll_r - ll_a
+        return llr
 
     def _tails(
         self,
@@ -822,7 +896,7 @@ class LinkEngine:
         missing_ps: list[np.ndarray] = []
         missing_k: list[int] = []
         # Key bytes are sliced from one serialisation of the pool's
-        # buckets: equal to ``ev.slice(ev.buckets, i).tobytes()``.
+        # buckets: equal to ``ev.buckets[lo:hi].tobytes()``.
         raw = ev.buckets.tobytes()
         width = ev.buckets.itemsize
         offsets = ev.offsets.tolist()

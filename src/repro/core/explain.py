@@ -97,9 +97,9 @@ def explain_pair(
 ) -> PairExplanation:
     """Decompose the pair's prior-free LLR into per-segment evidence.
 
-    The contributions sum exactly to
+    The contributions sum (to rounding) to the pair's
     ``log L(Mr) - log L(Ma)`` as computed by
-    :class:`~repro.core.naive_bayes.NaiveBayesMatcher` (with the same
+    :meth:`~repro.core.engine.LinkEngine.score_pool` (with the same
     probability clamping); segments beyond the model horizon carry zero
     contribution and are omitted.
     """

@@ -16,8 +16,10 @@ From the maintained tallies both matchers are evaluated exactly:
   probabilities, which is exactly the per-bucket count vector.
 
 :class:`StreamingLinker` manages one :class:`StreamingPairEvidence` per
-(query, candidate) pair and exposes the same decision semantics as the
-batch matchers; equivalence with the batch path is covered by tests.
+(query, candidate) pair and decides with the same Naive-Bayes rule as
+:class:`~repro.core.engine.LinkEngine`
+(:func:`~repro.core.engine.naive_bayes_accepts`); agreement with the
+batch path is covered by tests.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import FTLConfig
+from repro.core.engine import naive_bayes_accepts
 from repro.core.models import CompatibilityModel, require_fitted_pair
 from repro.core.records import Record
 from repro.core.trajectory import Trajectory
@@ -217,9 +220,10 @@ class StreamingLinker:
     Records are pushed via :meth:`observe_query` /
     :meth:`observe_candidate`; :meth:`decisions` returns the current
     per-candidate NB decision, and :meth:`matches` the positives.  The
-    decision at any instant equals what the batch
-    :class:`~repro.core.naive_bayes.NaiveBayesMatcher` would produce on
-    the records seen so far (tested).
+    decision at any instant equals what
+    ``LinkEngine.link_batch`` with ``LinkOptions(method="naive-bayes")``
+    decides on the records seen so far (tested; the tally-based LLR
+    agrees with the engine's to rounding, not bit for bit).
     """
 
     def __init__(
@@ -308,11 +312,12 @@ class StreamingLinker:
         except KeyError:
             raise ValidationError(f"unknown candidate {candidate_id!r}") from None
         llr = evidence.log_likelihood_ratio(self._mr, self._ma)
-        ratio = llr + math.log(self._phi_r) - math.log(1.0 - self._phi_r)
         return StreamDecision(
             candidate_id=candidate_id,
-            same_person=ratio >= 0.0,
-            log_posterior_ratio=ratio,
+            same_person=naive_bayes_accepts(llr, self._phi_r),
+            log_posterior_ratio=(
+                llr + math.log(self._phi_r) - math.log(1.0 - self._phi_r)
+            ),
             n_mutual=evidence.n_mutual,
             n_incompatible=evidence.n_incompatible,
         )

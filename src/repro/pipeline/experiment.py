@@ -13,23 +13,21 @@ reduce to thresholding:
   ``llr >= log(phi_a) - log(phi_r)`` where ``llr`` is the
   prior-free log-likelihood ratio ``log L(Mr) - log L(Ma)``.
 
-This mirrors exactly what the per-pair matcher classes compute; the
-equivalence is covered by tests.
+Each query's evidence is one :meth:`~repro.core.engine.LinkEngine.score_pool`
+call, so the masks agree bit for bit with ``link_batch`` under the
+same options (covered by tests).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.config import FTLConfig
-from repro.core.alignment import mutual_segment_profile
-from repro.core.hypothesis import acceptance_pvalue, rejection_pvalue
+from repro.core.engine import LinkEngine, QueryEvidence
 from repro.core.models import CompatibilityModel
-from repro.core.naive_bayes import _log_likelihood
 from repro.errors import ValidationError
 from repro.synth.scenario import ScenarioPair
 
@@ -41,35 +39,6 @@ def fit_model_pair(
     mr = CompatibilityModel.fit_rejection([pair.p_db, pair.q_db], config)
     ma = CompatibilityModel.fit_acceptance([pair.p_db, pair.q_db], config, rng)
     return mr, ma
-
-
-@dataclass(frozen=True)
-class QueryEvidence:
-    """Per-candidate evidence for one query.
-
-    ``p1[i]`` / ``p2[i]`` / ``llr[i]`` refer to ``candidate_ids[i]``.
-    """
-
-    query_id: object
-    candidate_ids: tuple[object, ...]
-    p1: np.ndarray
-    p2: np.ndarray
-    llr: np.ndarray
-
-    def alpha_filter_mask(self, alpha1: float, alpha2: float) -> np.ndarray:
-        """Accepted-candidate mask under (alpha1, alpha2)-filtering."""
-        return (self.p1 >= alpha1) & (self.p2 < alpha2)
-
-    def naive_bayes_mask(self, phi_r: float) -> np.ndarray:
-        """Same-person mask under Naive-Bayes with prior ``phi_r``."""
-        if not 0.0 < phi_r < 1.0:
-            raise ValidationError(f"phi_r must be in (0, 1), got {phi_r}")
-        threshold = math.log(1.0 - phi_r) - math.log(phi_r)
-        return self.llr >= threshold
-
-    def scores(self) -> np.ndarray:
-        """Eq. 2 ranking scores ``v = p1 * (1 - p2)`` per candidate."""
-        return self.p1 * (1.0 - self.p2)
 
 
 @dataclass(frozen=True)
@@ -95,38 +64,12 @@ def collect_evidence(
     """Compute (p1, p2, llr) for every (query, candidate) combination."""
     if not query_ids:
         raise ValidationError("need at least one query id")
-    config = mr.config
-    floor = config.prob_floor
+    engine = LinkEngine(mr, ma)
     candidates = list(pair.q_db)
-    candidate_ids = tuple(c.traj_id for c in candidates)
-    queries: list[QueryEvidence] = []
-    for qid in query_ids:
-        query = pair.p_db[qid]
-        p1 = np.empty(len(candidates))
-        p2 = np.empty(len(candidates))
-        llr = np.empty(len(candidates))
-        for i, candidate in enumerate(candidates):
-            profile = mutual_segment_profile(query, candidate, config)
-            within = profile.within_horizon(mr.n_buckets)
-            p1[i] = rejection_pvalue(profile, mr)
-            p2[i] = acceptance_pvalue(profile, ma)
-            ll_r = _log_likelihood(
-                mr.probs_for(within.buckets), within.incompatible, floor
-            )
-            ll_a = _log_likelihood(
-                ma.probs_for(within.buckets), within.incompatible, floor
-            )
-            llr[i] = ll_r - ll_a
-        queries.append(
-            QueryEvidence(
-                query_id=qid,
-                candidate_ids=candidate_ids,
-                p1=p1,
-                p2=p2,
-                llr=llr,
-            )
-        )
-    return PairEvidence(queries=tuple(queries), n_candidates=len(candidates))
+    queries = tuple(
+        engine.score_pool(pair.p_db[qid], candidates) for qid in query_ids
+    )
+    return PairEvidence(queries=queries, n_candidates=len(candidates))
 
 
 def perceptiveness_selectiveness(

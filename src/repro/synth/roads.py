@@ -16,14 +16,17 @@ connected by construction checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.geo.units import kph_to_mps
 from repro.synth.city import CityModel
 from repro.synth.mobility import GroundTruthPath, _WaypointBuilder
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,8 @@ class RoadNetwork:
 
     def shortest_path_nodes(self, source: int, target: int) -> list[int]:
         """Node sequence of the length-weighted shortest path."""
+        import networkx as nx
+
         return nx.shortest_path(
             self.graph, source, target, weight="length"
         )
@@ -89,6 +94,10 @@ def build_road_network(
     diagonal_fraction:
         Fraction of grid cells given one diagonal shortcut.
     """
+    # Imported here: networkx is a test extra, and importing this module
+    # (hence repro.synth, repro.datasets and the CLI) must not need it.
+    import networkx as nx
+
     if spacing_m <= 0:
         raise ValidationError(f"spacing_m must be positive, got {spacing_m}")
     if not 0 <= jitter_fraction < 0.5:

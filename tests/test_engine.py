@@ -18,6 +18,7 @@ from repro.core.engine import (
 from repro.core.linker import FTLLinker
 from repro.core.trajectory import Trajectory
 from repro.errors import ValidationError
+from tests import oracle
 
 ALL_OPTIONS = [
     LinkOptions(method="naive-bayes", phi_r=0.1),
@@ -185,6 +186,16 @@ class TestBatchEquivalence:
         assert engine.cache.stats.hits == engine.cache.stats.misses
         assert warm == cold
 
+    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.method}")
+    def test_batch_matches_per_pair_oracle(
+        self, small_pair, fitted_models, query_set, options
+    ):
+        mr, ma = fitted_models
+        pool = list(small_pair.q_db)
+        batch = make_engine(fitted_models, options).link_batch(query_set, pool)
+        for got, query in zip(batch, query_set):
+            assert got == oracle.link(query, pool, mr, ma, options)
+
     def test_each_profile_computed_exactly_once(
         self, small_pair, fitted_models, query_set
     ):
@@ -212,6 +223,42 @@ class TestBatchEquivalence:
             make_engine(fitted_models).link_batch(
                 query_set, [], options={"method": "naive-bayes"}
             )
+
+
+class TestScorePool:
+    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.method}")
+    def test_masks_select_the_linked_candidates(
+        self, small_pair, fitted_models, query_set, options
+    ):
+        engine = make_engine(fitted_models, options)
+        pool = list(small_pair.q_db)
+        for query, result in zip(query_set, engine.link_batch(query_set, pool)):
+            ev = engine.score_pool(query, pool)
+            if options.method == "alpha-filter":
+                mask = ev.alpha_filter_mask(options.alpha1, options.alpha2)
+            else:
+                mask = ev.naive_bayes_mask(options.phi_r)
+            index = {cid: i for i, cid in enumerate(ev.candidate_ids)}
+            assert {c for c, keep in zip(ev.candidate_ids, mask) if keep} == set(
+                result.candidate_ids()
+            )
+            for cand in result.candidates:
+                i = index[cand.candidate_id]
+                assert (cand.p_rejection, cand.p_acceptance) == (ev.p1[i], ev.p2[i])
+                assert cand.score == ev.scores()[i]
+
+    def test_served_from_the_shared_cache(self, small_pair, fitted_models, query_set):
+        engine = make_engine(fitted_models)
+        pool = list(small_pair.q_db)
+        engine.link_batch(query_set, pool)
+        misses = engine.cache.stats.misses
+        engine.score_pool(query_set[0], pool)
+        assert engine.cache.stats.misses == misses
+
+    def test_empty_pool(self, fitted_models, query_set):
+        ev = make_engine(fitted_models).score_pool(query_set[0], [])
+        assert ev.candidate_ids == ()
+        assert ev.p1.shape == ev.p2.shape == ev.llr.shape == (0,)
 
 
 class TestLazyFlatPool:

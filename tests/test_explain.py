@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.core.engine import LinkEngine
 from repro.core.explain import explain_pair
-from repro.core.naive_bayes import NaiveBayesMatcher
 from repro.errors import ValidationError
+from tests.oracle import pair_evidence
 
 
 @pytest.fixture(scope="module")
@@ -19,19 +20,18 @@ def pair_and_models(small_pair, fitted_models):
 class TestFaithfulness:
     def test_contributions_sum_to_matcher_llr(self, pair_and_models):
         pair, mr, ma, pid, qid, other = pair_and_models
-        matcher = NaiveBayesMatcher(mr, ma, phi_r=0.5)
+        engine = LinkEngine(mr, ma)
         for cid in (qid, other):
-            explanation = explain_pair(
-                pair.p_db[pid], pair.q_db[cid], mr, ma
+            query, candidate = pair.p_db[pid], pair.q_db[cid]
+            explanation = explain_pair(query, candidate, mr, ma)
+            (engine_llr,) = engine.score_pool(query, [candidate]).llr
+            _p1, _p2, llr, n_mutual, n_incompatible = pair_evidence(
+                query, candidate, mr, ma
             )
-            decision = matcher.decide(pair.p_db[pid], pair.q_db[cid])
-            matcher_llr = (
-                decision.log_likelihood_rejection
-                - decision.log_likelihood_acceptance
-            )
-            assert explanation.total_llr == pytest.approx(matcher_llr, abs=1e-9)
-            assert explanation.n_mutual == decision.n_mutual
-            assert explanation.n_incompatible == decision.n_incompatible
+            assert engine_llr == llr
+            assert explanation.total_llr == pytest.approx(llr, abs=1e-9)
+            assert explanation.n_mutual == n_mutual
+            assert explanation.n_incompatible == n_incompatible
 
     def test_segment_sum_matches_total(self, pair_and_models):
         pair, mr, ma, pid, qid, _other = pair_and_models

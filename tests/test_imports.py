@@ -1,9 +1,10 @@
 """The package imports and links with only its declared dependencies.
 
 ``networkx`` is a test extra (the dense assignment reference solver and
-the synthetic road networks use it), so ``import repro`` and a
-``LinkEngine.link`` must work without it.  The check runs in a fresh
-interpreter, because this one has already imported everything.
+the synthetic road networks use it), so every module of ``repro``, a
+``LinkEngine.link`` and the ``ftl`` entry point must work without it.
+The checks run in fresh interpreters, because this one has already
+imported everything.
 """
 
 import os
@@ -50,17 +51,53 @@ SCRIPT = textwrap.dedent(
 )
 
 
-def test_import_and_link_without_networkx():
+#: Imports every module under ``repro``, then runs ``ftl --version``.
+WALK_SCRIPT = textwrap.dedent(
+    """
+    import importlib
+    import pkgutil
+    import sys
+    sys.modules["networkx"] = None  # any import of it now raises
+
+    import repro
+    from repro.cli import main
+
+    names = [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
+    for name in names:
+        importlib.import_module(name)
+    print("imported", len(names), "modules")
+    sys.argv = ["ftl", "--version"]
+    main()
+    """
+)
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+    return subprocess.run(
+        [sys.executable, "-c", script],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_import_and_link_without_networkx():
+    proc = run_fresh(SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("linked")
+
+
+def test_every_module_and_ftl_version_without_networkx():
+    from repro.version import __version__
+
+    proc = run_fresh(WALK_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    first, version = proc.stdout.splitlines()
+    assert first.startswith("imported ")
+    assert int(first.split()[1]) > 90  # the walk really reached the tree
+    assert version == __version__

@@ -1,4 +1,10 @@
-"""Naive-Bayes matching (paper Section IV-E)."""
+"""Naive-Bayes matching (paper Section IV-E) through ``LinkEngine``.
+
+Profile-level cases build a (query, candidate) pair with exactly the
+wanted mutual-segment profile (``tests.oracle.pair_with_profile``) and
+link it with ``LinkOptions(method="naive-bayes")``; the prior-free
+log-likelihood ratio is read from :meth:`LinkEngine.score_pool`.
+"""
 
 import math
 
@@ -6,10 +12,10 @@ import numpy as np
 import pytest
 
 from repro.config import FTLConfig
-from repro.core.alignment import MutualSegmentProfile
+from repro.core.engine import LinkEngine, LinkOptions
 from repro.core.models import ACCEPTANCE, REJECTION, BucketCounts, CompatibilityModel
-from repro.core.naive_bayes import NaiveBayesMatcher, _log_likelihood
 from repro.errors import ValidationError
+from tests.oracle import pair_evidence, pair_with_profile
 
 
 def model_with_prob(kind, prob, config):
@@ -19,11 +25,33 @@ def model_with_prob(kind, prob, config):
     return CompatibilityModel(kind, counts, config)
 
 
-def profile(n, k, bucket=1):
-    return MutualSegmentProfile(
-        np.full(n, bucket, dtype=np.int64),
-        np.array([True] * k + [False] * (n - k), dtype=bool),
-    )
+def model_with_bucket_probs(kind, probs, config):
+    """A model whose bucket ``b`` has probability ``probs[b]`` (0.5 elsewhere)."""
+    counts = BucketCounts.zeros(config.n_buckets)
+    counts.total[:] = 1000
+    counts.incompatible[:] = 500
+    for bucket, prob in probs.items():
+        counts.incompatible[bucket] = int(round(prob * 1000))
+    return CompatibilityModel(kind, counts, config)
+
+
+def pair(n, k, config):
+    return pair_with_profile([1] * n, [True] * k + [False] * (n - k), config)
+
+
+def nb(phi_r):
+    return LinkOptions(method="naive-bayes", phi_r=phi_r)
+
+
+def threshold(phi_r):
+    return math.log(1.0 - phi_r) - math.log(phi_r)
+
+
+def link_pair(mr, ma, phi_r, n, k):
+    """The one-candidate NB link result and the pair's evidence."""
+    query, candidate = pair(n, k, mr.config)
+    engine = LinkEngine(mr, ma, nb(phi_r))
+    return engine.link(query, [candidate]), engine.score_pool(query, [candidate])
 
 
 @pytest.fixture
@@ -32,74 +60,83 @@ def config():
 
 
 @pytest.fixture
-def matcher(config):
-    mr = model_with_prob(REJECTION, 0.02, config)
-    ma = model_with_prob(ACCEPTANCE, 0.8, config)
-    return NaiveBayesMatcher(mr, ma, phi_r=0.05)
+def models(config):
+    return (
+        model_with_prob(REJECTION, 0.02, config),
+        model_with_prob(ACCEPTANCE, 0.8, config),
+    )
 
 
 class TestLogLikelihood:
-    def test_hand_computed(self):
-        ps = np.array([0.2, 0.7])
-        incompatible = np.array([True, False])
-        expected = math.log(0.2) + math.log(0.3)
-        assert _log_likelihood(ps, incompatible, 1e-12) == pytest.approx(expected)
+    """The clipped per-pair log-likelihood behind ``QueryEvidence.llr``."""
 
-    def test_zero_prob_clamped(self):
-        ps = np.array([0.0])
-        incompatible = np.array([True])
-        value = _log_likelihood(ps, incompatible, 1e-9)
-        assert value == pytest.approx(math.log(1e-9))
+    def test_hand_computed(self, config):
+        mr = model_with_bucket_probs(REJECTION, {1: 0.2, 2: 0.7}, config)
+        ma = model_with_bucket_probs(ACCEPTANCE, {1: 0.6, 2: 0.9}, config)
+        query, candidate = pair_with_profile([1, 2], [True, False], config)
+        (llr,) = LinkEngine(mr, ma).score_pool(query, [candidate]).llr
+        expected = (math.log(0.2) + math.log(0.3)) - (math.log(0.6) + math.log(0.1))
+        assert llr == pytest.approx(expected)
 
-    def test_empty_is_zero(self):
-        assert _log_likelihood(np.array([]), np.array([], dtype=bool), 1e-9) == 0.0
+    def test_zero_prob_clamped(self, config):
+        mr = model_with_prob(REJECTION, 0.0, config)
+        ma = model_with_prob(ACCEPTANCE, 0.5, config)
+        query, candidate = pair(1, 1, config)
+        (llr,) = LinkEngine(mr, ma).score_pool(query, [candidate]).llr
+        assert llr == pytest.approx(math.log(config.prob_floor) - math.log(0.5))
+
+    def test_empty_is_zero(self, models, config):
+        query, candidate = pair(0, 0, config)
+        (llr,) = LinkEngine(*models).score_pool(query, [candidate]).llr
+        assert llr == 0.0
 
 
 class TestConstruction:
-    def test_phi_bounds(self, config):
-        mr = model_with_prob(REJECTION, 0.02, config)
-        ma = model_with_prob(ACCEPTANCE, 0.8, config)
+    def test_phi_bounds(self, models, config):
+        query, candidate = pair(3, 0, config)
+        evidence = LinkEngine(*models).score_pool(query, [candidate])
         for bad in (0.0, 1.0, -0.1, 1.3):
             with pytest.raises(ValidationError):
-                NaiveBayesMatcher(mr, ma, phi_r=bad)
+                nb(bad)
+            with pytest.raises(ValidationError):
+                evidence.naive_bayes_mask(bad)
 
-    def test_phi_a_complement(self, matcher):
-        assert matcher.phi_a == pytest.approx(1.0 - matcher.phi_r)
+    def test_phi_a_complement(self):
+        options = nb(0.05)
+        assert options.phi_a == pytest.approx(1.0 - options.phi_r)
 
 
 class TestDecide:
-    def test_compatible_pattern_is_same_person(self, matcher):
-        decision = matcher.decide_profile(profile(20, 0), candidate_id="c")
-        assert decision.same_person
-        assert decision.log_posterior_ratio > 0
-        assert decision.candidate_id == "c"
+    def test_compatible_pattern_is_same_person(self, models):
+        result, ev = link_pair(*models, 0.05, 20, 0)
+        assert result.candidate_ids() == ["c"]
+        assert ev.llr[0] > threshold(0.05)
 
-    def test_incompatible_pattern_is_different(self, matcher):
-        decision = matcher.decide_profile(profile(20, 16))
-        assert not decision.same_person
-        assert decision.log_posterior_ratio < 0
+    def test_incompatible_pattern_is_different(self, models):
+        result, ev = link_pair(*models, 0.05, 20, 16)
+        assert len(result) == 0
+        assert ev.llr[0] < threshold(0.05)
 
-    def test_likelihoods_consistent_with_ratio(self, matcher):
-        decision = matcher.decide_profile(profile(10, 2))
-        expected = (
-            math.log(matcher.phi_r)
-            + decision.log_likelihood_rejection
-            - math.log(matcher.phi_a)
-            - decision.log_likelihood_acceptance
-        )
-        assert decision.log_posterior_ratio == pytest.approx(expected)
+    def test_likelihoods_consistent_with_ratio(self, models):
+        mr, ma = models
+        query, candidate = pair(10, 2, mr.config)
+        ev = LinkEngine(mr, ma).score_pool(query, [candidate])
+        _p1, _p2, llr, _n, _k = pair_evidence(query, candidate, mr, ma)
+        assert ev.llr[0] == llr
+        # The decision is the posterior comparison phi_r L(Mr) >= phi_a L(Ma).
+        for phi_r in (0.001, 0.05, 0.5, 0.9):
+            posterior = math.log(phi_r) + llr - math.log(1.0 - phi_r)
+            assert bool(ev.naive_bayes_mask(phi_r)[0]) == (posterior >= 0.0)
 
-    def test_no_evidence_decided_by_prior(self, config):
-        mr = model_with_prob(REJECTION, 0.02, config)
-        ma = model_with_prob(ACCEPTANCE, 0.8, config)
-        empty = profile(0, 0)
-        assert not NaiveBayesMatcher(mr, ma, 0.3).decide_profile(empty).same_person
-        assert NaiveBayesMatcher(mr, ma, 0.7).decide_profile(empty).same_person
+    def test_no_evidence_decided_by_prior(self, models):
+        assert len(link_pair(*models, 0.3, 0, 0)[0]) == 0
+        assert len(link_pair(*models, 0.7, 0, 0)[0]) == 1
 
-    def test_counts_recorded(self, matcher):
-        decision = matcher.decide_profile(profile(12, 3))
-        assert decision.n_mutual == 12
-        assert decision.n_incompatible == 3
+    def test_counts_recorded(self, models):
+        result, _ev = link_pair(*models, 0.5, 12, 3)
+        (cand,) = result.candidates
+        assert cand.n_mutual == 12
+        assert cand.n_incompatible == 3
 
 
 class TestPriorMonotonicity:
@@ -109,51 +146,42 @@ class TestPriorMonotonicity:
     def test_larger_phi_never_flips_to_reject(self, config, k):
         mr = model_with_prob(REJECTION, 0.1, config)
         ma = model_with_prob(ACCEPTANCE, 0.6, config)
-        prof = profile(15, k)
-        strict = NaiveBayesMatcher(mr, ma, 0.001).decide_profile(prof).same_person
-        loose = NaiveBayesMatcher(mr, ma, 0.5).decide_profile(prof).same_person
+        strict = len(link_pair(mr, ma, 0.001, 15, k)[0])
+        loose = len(link_pair(mr, ma, 0.5, 15, k)[0])
         assert loose or not strict
 
 
 class TestQueryAPI:
     def test_query_returns_positives_only(self, small_pair, fitted_models):
-        mr, ma = fitted_models
-        matcher = NaiveBayesMatcher(mr, ma, phi_r=0.05)
+        engine = LinkEngine(*fitted_models, nb(0.05))
         pid = next(iter(small_pair.truth))
-        results = matcher.query(small_pair.p_db[pid], small_pair.q_db)
-        assert all(d.same_person for d in results)
+        pool = list(small_pair.q_db)
+        result = engine.link(small_pair.p_db[pid], pool)
+        ev = engine.score_pool(small_pair.p_db[pid], pool)
+        llr = dict(zip(ev.candidate_ids, ev.llr))
+        assert all(llr[cid] >= threshold(0.05) for cid in result.candidate_ids())
 
     def test_query_high_perceptiveness(self, small_pair, fitted_models):
-        mr, ma = fitted_models
-        matcher = NaiveBayesMatcher(mr, ma, phi_r=0.1)
-        rng = np.random.default_rng(0)
-        qids = small_pair.sample_queries(15, rng)
-        hits = sum(
-            1
-            for pid in qids
-            if any(
-                d.candidate_id == small_pair.truth[pid]
-                for d in matcher.query(small_pair.p_db[pid], small_pair.q_db)
-            )
+        engine = LinkEngine(*fitted_models, nb(0.1))
+        qids = small_pair.sample_queries(15, np.random.default_rng(0))
+        results = engine.link_batch(
+            [small_pair.p_db[pid] for pid in qids], list(small_pair.q_db)
         )
+        hits = sum(r.contains(small_pair.truth[pid]) for pid, r in zip(qids, results))
         assert hits >= 11
 
     def test_query_selective(self, small_pair, fitted_models):
-        mr, ma = fitted_models
-        matcher = NaiveBayesMatcher(mr, ma, phi_r=0.05)
-        rng = np.random.default_rng(0)
-        qids = small_pair.sample_queries(10, rng)
-        total = sum(
-            len(matcher.query(small_pair.p_db[pid], small_pair.q_db))
-            for pid in qids
+        engine = LinkEngine(*fitted_models, nb(0.05))
+        qids = small_pair.sample_queries(10, np.random.default_rng(0))
+        results = engine.link_batch(
+            [small_pair.p_db[pid] for pid in qids], list(small_pair.q_db)
         )
+        total = sum(len(r) for r in results)
         assert total / 10 < 0.2 * len(small_pair.q_db)
 
     def test_agrees_with_trajectory_level_decide(self, small_pair, fitted_models):
-        mr, ma = fitted_models
-        matcher = NaiveBayesMatcher(mr, ma, phi_r=0.05)
+        engine = LinkEngine(*fitted_models, nb(0.05))
         pid = next(iter(small_pair.truth))
         qid = small_pair.truth[pid]
-        decision = matcher.decide(small_pair.p_db[pid], small_pair.q_db[qid])
-        assert decision.candidate_id == qid
-        assert decision.same_person  # true pair should be matched
+        result = engine.link(small_pair.p_db[pid], [small_pair.q_db[qid]])
+        assert result.candidate_ids() == [qid]  # true pair should be matched

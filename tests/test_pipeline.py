@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import FTLConfig
-from repro.core.filtering import AlphaFilter
-from repro.core.naive_bayes import NaiveBayesMatcher
+from repro.core.engine import LinkEngine, LinkOptions
 from repro.errors import ValidationError
 from repro.pipeline.experiment import (
     collect_evidence,
@@ -23,6 +22,7 @@ from repro.pipeline.tradeoff import (
     format_tradeoff,
     tradeoff_from_evidence,
 )
+from tests import oracle
 
 
 @pytest.fixture(scope="module")
@@ -53,21 +53,47 @@ class TestEvidence:
 
     def test_alpha_mask_matches_matcher(self, evidence_bundle):
         pair, mr, ma, _qids, evidence = evidence_bundle
-        matcher = AlphaFilter(mr, ma, 0.01, 0.1)
         qe = evidence.queries[0]
         mask = qe.alpha_filter_mask(0.01, 0.1)
-        for cid, accepted in zip(qe.candidate_ids, mask):
-            decision = matcher.decide(pair.p_db[qe.query_id], pair.q_db[cid])
-            assert decision.accepted == bool(accepted)
+        expected = oracle.link(
+            pair.p_db[qe.query_id], list(pair.q_db), mr, ma,
+            LinkOptions(method="alpha-filter", alpha1=0.01, alpha2=0.1),
+        )
+        accepted = [cid for cid, keep in zip(qe.candidate_ids, mask) if keep]
+        assert set(accepted) == set(expected.candidate_ids())
 
     def test_nb_mask_matches_matcher(self, evidence_bundle):
         pair, mr, ma, _qids, evidence = evidence_bundle
-        matcher = NaiveBayesMatcher(mr, ma, phi_r=0.05)
         qe = evidence.queries[0]
         mask = qe.naive_bayes_mask(0.05)
-        for cid, same in zip(qe.candidate_ids, mask):
-            decision = matcher.decide(pair.p_db[qe.query_id], pair.q_db[cid])
-            assert decision.same_person == bool(same)
+        expected = oracle.link(
+            pair.p_db[qe.query_id], list(pair.q_db), mr, ma,
+            LinkOptions(method="naive-bayes", phi_r=0.05),
+        )
+        same = [cid for cid, keep in zip(qe.candidate_ids, mask) if keep]
+        assert set(same) == set(expected.candidate_ids())
+
+    def test_evidence_equals_oracle(self, evidence_bundle):
+        pair, mr, ma, _qids, evidence = evidence_bundle
+        for qe in evidence:
+            want = oracle.score_pool(pair.p_db[qe.query_id], list(pair.q_db), mr, ma)
+            assert qe.candidate_ids == want.candidate_ids
+            assert np.array_equal(qe.p1, want.p1)
+            assert np.array_equal(qe.p2, want.p2)
+            assert np.array_equal(qe.llr, want.llr)
+
+    @pytest.mark.parametrize("phi_r", [0.001, 0.01, 0.05, 0.2, 0.6])
+    def test_nb_mask_equals_link_batch(self, evidence_bundle, phi_r):
+        """The sweep's NB mask and the served NB decision are one rule."""
+        pair, mr, ma, _qids, _evidence = evidence_bundle
+        qids = list(pair.p_db.ids())
+        evidence = collect_evidence(pair, qids, mr, ma)
+        engine = LinkEngine(mr, ma, LinkOptions(method="naive-bayes", phi_r=phi_r))
+        results = engine.link_batch([pair.p_db[q] for q in qids], list(pair.q_db))
+        for qe, result in zip(evidence, results):
+            mask = qe.naive_bayes_mask(phi_r)
+            same = {cid for cid, keep in zip(qe.candidate_ids, mask) if keep}
+            assert same == set(result.candidate_ids())
 
     def test_nb_mask_phi_validation(self, evidence_bundle):
         _pair, _mr, _ma, _qids, evidence = evidence_bundle

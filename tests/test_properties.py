@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.config import FTLConfig
 from repro.core.alignment import MutualSegmentProfile, mutual_segment_profile
-from repro.core.filtering import AlphaFilter
+from repro.core.engine import LinkEngine, LinkOptions
 from repro.core.hypothesis import acceptance_pvalue, rejection_pvalue
 from repro.core.models import (
     ACCEPTANCE,
@@ -22,9 +22,9 @@ from repro.core.models import (
     BucketCounts,
     CompatibilityModel,
 )
-from repro.core.naive_bayes import NaiveBayesMatcher
 from repro.core.trajectory import Trajectory
 from repro.stats.poisson_binomial import PoissonBinomial
+from tests import oracle
 
 CONFIG = FTLConfig(smoothing=0.0, min_bucket_count=1)
 
@@ -190,42 +190,73 @@ class TestPvalueInvariants:
 # ----------------------------------------------------------------------
 # Matcher consistency
 # ----------------------------------------------------------------------
+def links(profile, models, options) -> bool:
+    """Whether ``LinkEngine`` links a pair with exactly this profile."""
+    query, candidate = oracle.pair_with_profile(
+        profile.buckets, profile.incompatible, CONFIG
+    )
+    return len(LinkEngine(*models, options).link(query, [candidate])) == 1
+
+
 class TestMatcherConsistency:
     @given(profile_strategy(), model_pair_strategy(),
            st.floats(0.01, 0.99), st.floats(0.01, 0.99))
     @settings(max_examples=50, deadline=None)
     def test_alpha_filter_decision_formula(self, profile, models, a1, a2):
         mr, ma = models
-        matcher = AlphaFilter(mr, ma, a1, a2)
-        decision = matcher.decide_profile(profile)
+        options = LinkOptions(method="alpha-filter", alpha1=a1, alpha2=a2)
         p1 = rejection_pvalue(profile, mr)
-        if p1 < a1:
-            assert not decision.accepted
-            assert decision.rejected_in_phase1
-        else:
-            p2 = acceptance_pvalue(profile, ma)
-            assert decision.accepted == (p2 < a2)
+        p2 = acceptance_pvalue(profile, ma)
+        assert links(profile, models, options) == (p1 >= a1 and p2 < a2)
 
     @given(profile_strategy(), model_pair_strategy(), st.floats(0.01, 0.99))
     @settings(max_examples=50, deadline=None)
     def test_nb_decision_equals_llr_threshold(self, profile, models, phi_r):
         mr, ma = models
-        matcher = NaiveBayesMatcher(mr, ma, phi_r)
-        decision = matcher.decide_profile(profile)
-        llr = (
-            decision.log_likelihood_rejection
-            - decision.log_likelihood_acceptance
+        within = profile.within_horizon(mr.n_buckets)
+        llr = oracle.log_likelihood(
+            mr.probs_for(within.buckets), within.incompatible, CONFIG.prob_floor
+        ) - oracle.log_likelihood(
+            ma.probs_for(within.buckets), within.incompatible, CONFIG.prob_floor
         )
         threshold = math.log(1.0 - phi_r) - math.log(phi_r)
-        assert decision.same_person == (llr >= threshold)
+        options = LinkOptions(method="naive-bayes", phi_r=phi_r)
+        assert links(profile, models, options) == (llr >= threshold)
 
     @given(profile_strategy(), model_pair_strategy())
     @settings(max_examples=50, deadline=None)
     def test_nb_loose_prior_superset(self, profile, models):
+        strict = links(profile, models, LinkOptions(phi_r=0.01))
+        loose = links(profile, models, LinkOptions(phi_r=0.6))
+        assert loose or not strict
+
+
+class TestScorePoolOracle:
+    """``LinkEngine.score_pool`` gives the per-pair reference's bits."""
+
+    @given(
+        trajectory_strategy(),
+        st.lists(trajectory_strategy(), max_size=6),
+        model_pair_strategy(),
+        st.sampled_from(["python", "numpy"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_score_pool_equals_oracle(self, query, pool, models, kernel):
         mr, ma = models
-        strict = NaiveBayesMatcher(mr, ma, 0.01).decide_profile(profile)
-        loose = NaiveBayesMatcher(mr, ma, 0.6).decide_profile(profile)
-        assert loose.same_person or not strict.same_person
+        query = query.with_id("q")
+        pool = [c.with_id(f"c{i}") for i, c in enumerate(pool)]
+        engine = LinkEngine(mr, ma, LinkOptions(kernel_backend=kernel))
+        got = engine.score_pool(query, pool)
+        want = oracle.score_pool(query, pool, mr, ma)
+        assert got.query_id == want.query_id
+        assert got.candidate_ids == want.candidate_ids
+        assert np.array_equal(got.p1, want.p1)
+        assert np.array_equal(got.p2, want.p2)
+        assert np.array_equal(got.llr, want.llr)
+        # A second call is served from the profile cache and tail memo.
+        again = engine.score_pool(query, pool)
+        assert np.array_equal(again.p1, want.p1)
+        assert np.array_equal(again.llr, want.llr)
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.assignment import greedy_assignment, optimal_assignment
-from repro.core.blocking import CandidateIndex
 from repro.core.database import TrajectoryDatabase
 from repro.core.prefilter import TimeOverlapPrefilter
 from repro.core.trajectory import Trajectory
 from repro.stats.bootstrap import bootstrap_ci
+from repro.store.stindex import SpatioTemporalIndex
 from repro.pipeline.score_analysis import auc_from_scores
 
 
@@ -128,13 +128,13 @@ class TestBlockingProperties:
         for i, (start, length) in enumerate(windows):
             ts = np.array([start, start + length])
             db.add(Trajectory(ts, np.zeros(2), np.zeros(2), i))
-        index = CandidateIndex(db)
+        index = SpatioTemporalIndex.build(db)
         query = Trajectory(
             np.array([q_start, q_start + q_len]), np.zeros(2), np.zeros(2), "q"
         )
-        from_index = set(index.ids_for(query, min_overlap_s=min_overlap))
+        from_index = set(index.temporal_ids_for(query, min_overlap_s=min_overlap))
         linear = {
-            t.traj_id
+            str(t.traj_id)
             for t in db
             if min(t.end_time, query.end_time)
             - max(t.start_time, query.start_time)
@@ -149,12 +149,12 @@ class TestBlockingProperties:
             start = rng.uniform(0, 1e4)
             ts = np.sort(rng.uniform(start, start + 5e3, 5))
             db.add(Trajectory(ts, np.zeros(5), np.zeros(5), i))
-        index = CandidateIndex(db)
+        index = SpatioTemporalIndex.build(db)
         prefilter = TimeOverlapPrefilter(min_overlap_s=1000.0)
         for _ in range(10):
             start = rng.uniform(0, 1e4)
             ts = np.sort(rng.uniform(start, start + 4e3, 4))
             query = Trajectory(ts, np.zeros(4), np.zeros(4), "q")
-            kept = {c.traj_id for c in db if prefilter.keep(query, c)}
-            indexed = set(index.ids_for(query, min_overlap_s=1000.0))
+            kept = {str(c.traj_id) for c in db if prefilter.keep(query, c)}
+            indexed = set(index.temporal_ids_for(query, min_overlap_s=1000.0))
             assert kept <= indexed

@@ -1,94 +1,106 @@
-"""Candidate ranking (paper Section V, Eq. 2)."""
+"""Candidate ranking (paper Section V, Eq. 2) through ``LinkEngine``.
+
+The exhaustive ranking is ``LinkOptions(method="alpha-filter",
+alpha1=0, alpha2=1)``: every candidate with any evidence is returned,
+ordered by ``v = p1 * (1 - p2)``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.alignment import MutualSegmentProfile
-from repro.core.ranking import rank_candidates, score_candidate, top_k
+from repro.core.engine import LinkEngine, LinkOptions, LinkResult
 from repro.errors import ValidationError
+from tests.oracle import pair_with_profile
+
+RANKING = LinkOptions(method="alpha-filter", alpha1=0.0, alpha2=1.0)
 
 
-def profile(n, k):
-    return MutualSegmentProfile(
-        np.full(n, 1, dtype=np.int64),
-        np.array([True] * k + [False] * (n - k), dtype=bool),
-    )
+def pair(n, k, config):
+    return pair_with_profile([1] * n, [True] * k + [False] * (n - k), config)
+
+
+def scored(mr, ma, n, k):
+    """The one ranked candidate of an (n, k) profile."""
+    query, candidate = pair(n, k, mr.config)
+    (cand,) = LinkEngine(mr, ma, RANKING).link(query, [candidate]).candidates
+    return cand
 
 
 class TestScoreCandidate:
     def test_score_is_eq2(self, fitted_models):
-        mr, ma = fitted_models
-        scored = score_candidate(profile(15, 0), mr, ma)
-        assert scored.score == pytest.approx(
-            scored.p_rejection * (1 - scored.p_acceptance)
-        )
+        cand = scored(*fitted_models, 15, 0)
+        assert cand.score == cand.p_rejection * (1 - cand.p_acceptance)
 
     def test_score_in_unit_interval(self, fitted_models):
         mr, ma = fitted_models
         for k in range(0, 16, 5):
-            scored = score_candidate(profile(15, k), mr, ma)
-            assert 0.0 <= scored.score <= 1.0
+            query, candidate = pair(15, k, mr.config)
+            scores = LinkEngine(mr, ma).score_pool(query, [candidate]).scores()
+            assert 0.0 <= scores[0] <= 1.0
 
     def test_compatible_scores_higher(self, fitted_models):
-        mr, ma = fitted_models
-        good = score_candidate(profile(15, 0), mr, ma).score
-        bad = score_candidate(profile(15, 12), mr, ma).score
+        good = scored(*fitted_models, 15, 0).score
+        bad = scored(*fitted_models, 15, 12).score
         assert good > bad
 
     def test_model_kinds_validated(self, fitted_models):
         mr, ma = fitted_models
         with pytest.raises(ValidationError):
-            score_candidate(profile(5, 0), ma, mr)
+            LinkEngine(ma, mr)
 
 
 class TestRankCandidates:
     def test_true_match_ranks_first_usually(self, small_pair, fitted_models):
-        mr, ma = fitted_models
-        rng = np.random.default_rng(0)
-        qids = small_pair.sample_queries(10, rng)
-        top1_hits = 0
-        for pid in qids:
-            ranked = rank_candidates(
-                small_pair.p_db[pid], small_pair.q_db, mr, ma
-            )
-            if ranked[0].candidate_id == small_pair.truth[pid]:
-                top1_hits += 1
+        engine = LinkEngine(*fitted_models, RANKING)
+        qids = small_pair.sample_queries(10, np.random.default_rng(0))
+        results = engine.link_batch(
+            [small_pair.p_db[pid] for pid in qids], list(small_pair.q_db)
+        )
+        top1_hits = sum(
+            r.candidate_ids()[:1] == [small_pair.truth[pid]]
+            for pid, r in zip(qids, results)
+        )
         assert top1_hits >= 7
 
     def test_scores_non_increasing(self, small_pair, fitted_models):
-        mr, ma = fitted_models
+        engine = LinkEngine(*fitted_models, RANKING)
         pid = next(iter(small_pair.truth))
-        ranked = rank_candidates(small_pair.p_db[pid], small_pair.q_db, mr, ma)
-        scores = [c.score for c in ranked]
+        ranked = engine.link(small_pair.p_db[pid], list(small_pair.q_db))
+        scores = [c.score for c in ranked.candidates]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
 
     def test_all_candidates_scored(self, small_pair, fitted_models):
-        mr, ma = fitted_models
         pid = next(iter(small_pair.truth))
-        ranked = rank_candidates(small_pair.p_db[pid], small_pair.q_db, mr, ma)
-        assert len(ranked) == len(small_pair.q_db)
+        ev = LinkEngine(*fitted_models).score_pool(
+            small_pair.p_db[pid], list(small_pair.q_db)
+        )
+        assert len(ev.candidate_ids) == len(ev.scores()) == len(small_pair.q_db)
 
     def test_true_match_beats_median(self, small_pair, fitted_models):
-        mr, ma = fitted_models
         pid = next(iter(small_pair.truth))
-        ranked = rank_candidates(small_pair.p_db[pid], small_pair.q_db, mr, ma)
-        position = next(
-            i for i, c in enumerate(ranked)
-            if c.candidate_id == small_pair.truth[pid]
+        ev = LinkEngine(*fitted_models).score_pool(
+            small_pair.p_db[pid], list(small_pair.q_db)
         )
-        assert position < len(ranked) // 2
+        order = np.argsort(-ev.scores(), kind="stable")
+        ranked = [ev.candidate_ids[i] for i in order]
+        assert ranked.index(small_pair.truth[pid]) < len(ranked) // 2
 
 
 class TestTopK:
     def test_prefix(self, small_pair, fitted_models):
-        mr, ma = fitted_models
         pid = next(iter(small_pair.truth))
-        ranked = rank_candidates(small_pair.p_db[pid], small_pair.q_db, mr, ma)
-        assert top_k(ranked, 3) == list(ranked[:3])
+        query, pool = small_pair.p_db[pid], list(small_pair.q_db)
+        full = LinkEngine(*fitted_models, RANKING).link(query, pool)
+        top3 = LinkEngine(*fitted_models, RANKING.with_updates(top_k=3)).link(
+            query, pool
+        )
+        assert top3.candidates == full.top(3) == full.candidates[:3]
 
     def test_k_larger_than_list(self):
-        assert top_k([], 5) == []
+        assert LinkResult("q", "alpha-filter", ()).top(5) == ()
 
     def test_negative_k(self):
-        with pytest.raises(ValueError):
-            top_k([], -1)
+        with pytest.raises(ValidationError):
+            LinkResult("q", "alpha-filter", ()).top(-1)
+        with pytest.raises(ValidationError):
+            RANKING.with_updates(top_k=0)

@@ -5,15 +5,16 @@ tests; the micro-batcher and session-TTL state machines are additionally
 unit-tested without sockets (deterministic clocks, no sleeps).
 """
 
+import dataclasses
 import http.client
 import json
+import math
 import threading
 import time
 
 import pytest
 
 from repro.core.engine import LinkEngine, LinkOptions
-from repro.core.naive_bayes import NaiveBayesMatcher
 from repro.core.records import Record
 from repro.core.streaming import SOURCE_P, SOURCE_Q, StreamingPairEvidence
 from repro.core.trajectory import Trajectory
@@ -27,6 +28,7 @@ from repro.service.batcher import MicroBatcher
 from repro.service.client import ServiceClient
 from repro.service.server import BackgroundServer, LinkServer, ServerConfig
 from repro.service.state import Metrics, ServiceState
+from tests.oracle import pair_evidence
 
 RANKING = LinkOptions(method="alpha-filter", alpha1=0.0, alpha2=1.0)
 
@@ -458,6 +460,22 @@ def _session_records(base_t: float = 0.0):
     return query, cand
 
 
+def _assert_matches_batch(decision, query, candidate, mr, ma, phi_r):
+    """A session decision equals the batch NB decision on the same records."""
+    linked = LinkEngine(
+        mr, ma, LinkOptions(method="naive-bayes", phi_r=phi_r)
+    ).link(query, [candidate])
+    _p1, _p2, llr, n_mutual, n_incompatible = pair_evidence(
+        query, candidate, mr, ma
+    )
+    assert decision["same_person"] == linked.contains(candidate.traj_id)
+    assert decision["n_mutual"] == n_mutual
+    assert decision["n_incompatible"] == n_incompatible
+    assert decision["log_posterior_ratio"] == pytest.approx(
+        llr + math.log(phi_r) - math.log(1.0 - phi_r)
+    )
+
+
 class TestIngestSessions:
     def test_ingest_decisions_match_batch_matcher(self, client, fitted_models):
         mr, ma = fitted_models
@@ -470,18 +488,11 @@ class TestIngestSessions:
         (decision,) = response["decisions"]
 
         # The session linker inherits the server options' phi_r (0.01).
-        matcher = NaiveBayesMatcher(mr, ma, phi_r=RANKING.phi_r)
         q_traj = Trajectory([r[0] for r in query], [r[1] for r in query],
                             [r[2] for r in query], "q")
         c_traj = Trajectory([r[0] for r in cand], [r[1] for r in cand],
                             [r[2] for r in cand], "c1")
-        expected = matcher.decide(q_traj, c_traj)
-        assert decision["same_person"] == expected.same_person
-        assert decision["n_mutual"] == expected.n_mutual
-        assert decision["n_incompatible"] == expected.n_incompatible
-        assert decision["log_posterior_ratio"] == pytest.approx(
-            expected.log_posterior_ratio
-        )
+        _assert_matches_batch(decision, q_traj, c_traj, mr, ma, RANKING.phi_r)
 
     def test_sessions_accumulate_and_report(self, client):
         query, cand = _session_records()
@@ -537,19 +548,14 @@ class TestIngestSessions:
         decision = entry.linker.decision("c1")
         assert entry.linker.n_query_records == len(new_query)
 
-        matcher = NaiveBayesMatcher(mr, ma, phi_r=0.05)
         q_traj = Trajectory([r[0] for r in new_query],
                             [r[1] for r in new_query],
                             [r[2] for r in new_query], "q")
         c_traj = Trajectory([r[0] for r in new_cand],
                             [r[1] for r in new_cand],
                             [r[2] for r in new_cand], "c1")
-        fresh = matcher.decide(q_traj, c_traj)
-        assert decision.same_person == fresh.same_person
-        assert decision.n_mutual == fresh.n_mutual
-        assert decision.n_incompatible == fresh.n_incompatible
-        assert decision.log_posterior_ratio == pytest.approx(
-            fresh.log_posterior_ratio
+        _assert_matches_batch(
+            dataclasses.asdict(decision), q_traj, c_traj, mr, ma, phi_r=0.05
         )
         assert state.metrics.counter("sessions_expired_total") == 1
 

@@ -1,5 +1,7 @@
 """Streaming/incremental linking: equivalence with the batch path."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from repro.config import FTLConfig
 from repro.core.alignment import mutual_segment_profile
+from repro.core.engine import LinkEngine, LinkOptions
 from repro.core.hypothesis import acceptance_pvalue, rejection_pvalue
-from repro.core.naive_bayes import NaiveBayesMatcher
 from repro.core.records import Record
 from repro.core.streaming import (
     SOURCE_P,
@@ -18,6 +20,7 @@ from repro.core.streaming import (
 )
 from repro.core.trajectory import Trajectory
 from repro.errors import ValidationError
+from tests.oracle import pair_evidence
 
 
 def random_traj(rng, n, traj_id=None, span=2e4, extent=3e4):
@@ -129,10 +132,8 @@ class TestStreamingPairEvidence:
         evidence = StreamingPairEvidence(config)
         evidence.extend(p, SOURCE_P)
         evidence.extend(q, SOURCE_Q)
-        matcher = NaiveBayesMatcher(mr, ma, phi_r=0.05)
-        batch = matcher.decide(p.with_id("p"), q.with_id("q"))
-        batch_llr = (
-            batch.log_likelihood_rejection - batch.log_likelihood_acceptance
+        _p1, _p2, batch_llr, _n, _k = pair_evidence(
+            p.with_id("p"), q.with_id("q"), mr, ma
         )
         assert evidence.log_likelihood_ratio(mr, ma) == pytest.approx(
             batch_llr, abs=1e-9
@@ -209,13 +210,15 @@ class TestStreamingLinker:
         for record in pair.q_db[other]:
             linker.observe_candidate(other, record)
 
-        matcher = NaiveBayesMatcher(mr, ma, phi_r=0.1)
+        engine = LinkEngine(mr, ma, LinkOptions(method="naive-bayes", phi_r=0.1))
         for cid in (qid, other):
             stream = linker.decision(cid)
-            batch = matcher.decide(pair.p_db[pid], pair.q_db[cid])
-            assert stream.same_person == batch.same_person
+            query, candidate = pair.p_db[pid], pair.q_db[cid]
+            batch = engine.link(query, [candidate])
+            assert stream.same_person == batch.contains(cid)
+            _p1, _p2, llr, _n, _k = pair_evidence(query, candidate, mr, ma)
             assert stream.log_posterior_ratio == pytest.approx(
-                batch.log_posterior_ratio, abs=1e-9
+                llr + math.log(0.1) - math.log(0.9), abs=1e-9
             )
 
     def test_true_match_emerges(self, setup):
